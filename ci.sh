@@ -36,6 +36,14 @@ step "ring stress (randomized SPSC producer/consumer)"
 # at the data path.
 cargo test -q -p superfe-net --test ring_stress
 
+step "aging probe differentials in release (overflow checks off)"
+# The MGPV aging probe walks a slot tree with plain index arithmetic, and
+# release builds (what the benchmark and the bench runners use) do not trap
+# overflow. Run the tree-vs-per-slot-sweep proptest (mgpv unit tests), the
+# MGPV properties and the streaming differential once in that configuration.
+cargo test -q --release -p superfe-switch --lib mgpv
+cargo test -q --release --test mgpv_properties --test streaming_differential
+
 step "superfe check (bundled policies + examples)"
 # Every bundled application policy and every example .sfe file must pass the
 # full static analyzer — structural lints, dataflow lints, the SF05xx

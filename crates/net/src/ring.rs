@@ -26,10 +26,11 @@
 //!   and on drop. One synchronization point amortizes a whole batch.
 //! - **Spin-then-park waiting.** An empty consumer (or full producer)
 //!   spins briefly, then registers itself in a [`Waiter`] and parks. The
-//!   waker checks a `parked` flag — a single load in the common (running)
-//!   case. The waiter re-checks the ring *after* registering and before
-//!   parking, and `Thread::unpark` carries a token, so wakeups cannot be
-//!   lost.
+//!   waker checks a `parked` flag — a fence and a single load in the
+//!   common (running) case. The waiter re-checks the ring *after*
+//!   registering and before parking, `SeqCst` fences order each side's
+//!   store before its load, and `Thread::unpark` carries a token, so
+//!   wakeups cannot be lost.
 //! - **Bounded, with backpressure or drop.** [`Producer::send`] blocks when
 //!   the ring is full (after ringing the doorbell so the consumer can
 //!   drain); [`Producer::try_send`] returns the item instead — the recycle
@@ -39,7 +40,7 @@
 //! timestamps every item at send and records `recv − send` nanoseconds at
 //! the consumer (see [`crate::metrics`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::Thread;
 
@@ -93,6 +94,13 @@ struct CachePadded<T>(T);
 /// flag with a swap, so at most one unpark is issued per registration, and
 /// the re-check plus `unpark`'s token guarantee a registration between
 /// publish and park still wakes.
+///
+/// Each side stores one location and then loads the other's (waiter:
+/// `parked`, then the ring index; waker: the ring index, then `parked`).
+/// Release/Acquire does not order a store before a later load, so both
+/// loads could see the old values and the wakeup would be lost. A
+/// `SeqCst` fence between the store and the load on both sides rules that
+/// out: at least one side sees the other's store.
 #[derive(Debug, Default)]
 pub struct Waiter {
     parked: AtomicBool,
@@ -105,6 +113,7 @@ impl Waiter {
     pub fn register_current(&self) {
         *lock(&self.thread) = Some(std::thread::current());
         self.parked.store(true, Ordering::Release);
+        fence(Ordering::SeqCst);
     }
 
     /// Withdraws a registration (the condition turned true before parking).
@@ -118,9 +127,10 @@ impl Waiter {
         std::thread::park();
     }
 
-    /// Wakes the registered waiter, if one is parked. A single relaxed-ish
+    /// Wakes the registered waiter, if one is parked. A fence plus a single
     /// flag load in the common nobody-parked case.
     pub fn notify(&self) {
+        fence(Ordering::SeqCst);
         if self.parked.load(Ordering::Acquire) && self.parked.swap(false, Ordering::AcqRel) {
             if let Some(t) = lock(&self.thread).clone() {
                 t.unpark();

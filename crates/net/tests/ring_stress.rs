@@ -5,9 +5,13 @@
 //! these properties hammer a real producer thread against a real consumer
 //! thread under randomized capacities, doorbell batches, send-flavor mixes,
 //! and artificial stalls, asserting the SPSC contract end to end: every
-//! frame arrives exactly once, in send order.
+//! frame arrives exactly once, in send order. A bare-waiter ping-pong
+//! checks that the park/notify handshake never loses a wakeup.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
+use std::time::Duration;
 
 use proptest::prelude::*;
 use superfe_net::ring;
@@ -133,4 +137,58 @@ fn consumer_drop_unblocks_the_producer() {
     }
     assert!(disconnected, "producer must observe the consumer's exit");
     assert_eq!(consumer.join().expect("consumer thread"), 0);
+}
+
+/// Park/notify ping-pong on two bare waiters: each side publishes its
+/// turn, notifies the peer, then registers, re-checks and parks without
+/// spinning, so both sides park on every handoff the peer has not already
+/// made. A lost wakeup leaves both threads parked for good; the bounded
+/// wait turns that into a failure instead of a hung test.
+#[test]
+fn park_notify_ping_pong_never_loses_a_wakeup() {
+    const ROUNDS: u64 = 100_000;
+    // Even values are side 0's move, odd values side 1's.
+    let turn = Arc::new(AtomicU64::new(0));
+    let waiters = [
+        Arc::new(ring::Waiter::default()),
+        Arc::new(ring::Waiter::default()),
+    ];
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut sides = Vec::new();
+    for me in 0..2u64 {
+        let turn = turn.clone();
+        let mine = waiters[me as usize].clone();
+        let peer = waiters[1 - me as usize].clone();
+        let done = done_tx.clone();
+        sides.push(thread::spawn(move || {
+            for round in 0..ROUNDS {
+                let my_turn = 2 * round + me;
+                while turn.load(Ordering::Acquire) != my_turn {
+                    mine.register_current();
+                    if turn.load(Ordering::Acquire) == my_turn {
+                        mine.cancel();
+                        break;
+                    }
+                    mine.park();
+                }
+                turn.store(my_turn + 1, Ordering::Release);
+                peer.notify();
+            }
+            let _ = done.send(me);
+        }));
+    }
+    for _ in 0..2 {
+        done_rx
+            .recv_timeout(Duration::from_secs(60))
+            .unwrap_or_else(|_| {
+                panic!(
+                    "ping-pong stalled at turn {}: a wakeup was lost",
+                    turn.load(Ordering::Acquire)
+                )
+            });
+    }
+    for side in sides {
+        side.join().expect("ping-pong side");
+    }
+    assert_eq!(turn.load(Ordering::Acquire), 2 * ROUNDS);
 }

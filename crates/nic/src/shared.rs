@@ -46,7 +46,7 @@ use superfe_policy::CompiledPolicy;
 use superfe_switch::tenant::{TaggedEvent, TenantId};
 use superfe_switch::SwitchEvent;
 
-use crate::engine::{FeNic, FeatureVector, NicStats};
+use crate::engine::{EvictedVector, FeNic, FeatureVector, NicStats};
 use crate::error::NicError;
 use crate::stream::{
     EgressVector, StreamOutput, VectorSink, CHANNEL_DEPTH, DOORBELL_FRAMES, FRAME_SIZE,
@@ -169,6 +169,8 @@ struct TenantPiece {
     tenant: TenantId,
     groups: Vec<FeatureVector>,
     pkts: Vec<FeatureVector>,
+    /// Groups the table budget finalized early, in eviction order.
+    evicted: Vec<EvictedVector>,
     stats: NicStats,
     groups_per_level: Vec<(Granularity, usize)>,
 }
@@ -235,6 +237,7 @@ impl UnitEngine {
         } = self;
         let groups = nic.finish();
         let tail = nic.take_packet_vectors();
+        let evicted = nic.take_evicted();
         let stats = *nic.stats();
         let groups_per_level = nic.groups_per_level();
         let mut pieces = Vec::with_capacity(members.len());
@@ -259,6 +262,7 @@ impl UnitEngine {
                 tenant: m.member,
                 groups: groups.clone(),
                 pkts,
+                evicted: evicted.clone(),
                 stats,
                 groups_per_level: groups_per_level.clone(),
             });
@@ -321,6 +325,7 @@ impl UnitEngine {
             tenant: member,
             groups,
             pkts,
+            evicted: nic.take_evicted(),
             stats: *nic.stats(),
             groups_per_level: nic.groups_per_level(),
         })
@@ -1182,6 +1187,7 @@ fn merge_pieces(pieces: Vec<(usize, TenantPiece)>) -> StreamOutput {
 fn merge_piece(out: &mut StreamOutput, piece: TenantPiece) {
     out.group_vectors.extend(piece.groups);
     out.packet_vectors.extend(piece.pkts);
+    out.evicted_vectors.extend(piece.evicted);
     out.stats.absorb(&piece.stats);
     if out.groups_per_level.is_empty() {
         out.groups_per_level = piece.groups_per_level;

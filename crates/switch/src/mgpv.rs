@@ -12,6 +12,11 @@
 //! flush) emit [`MgpvMessage`]s; FG table changes emit [`FgUpdate`]s strictly
 //! *before* any message whose records reference them, preserving the paper's
 //! order-preserving property.
+//!
+//! Aging models recirculated probe packets that check one slot each, in
+//! cursor order. The simulator reaches the same evictions without visiting
+//! every probed slot: a tree over the slots' last-access times yields the
+//! expired slots of the probed window directly.
 
 use superfe_net::snap::{StateReader, StateWriter};
 use superfe_net::{GroupKey, PacketRecord};
@@ -66,7 +71,10 @@ pub struct MgpvConfig {
     /// Recirculation probe rate in entries per second: the recirculated
     /// packets check entries continuously, independent of traffic, so on
     /// each insert the cache also executes the probes that elapsed wall
-    /// time would have produced (capped at one full scan).
+    /// time would have produced (capped at one full scan). The simulator
+    /// does not visit every probed slot: a tree over the slots' last-access
+    /// times finds the expired ones in the probed window, so an insert
+    /// costs O((expired + 1) · log short_count) however wide the window is.
     pub probe_rate_hz: f64,
     /// Window for the "active flow" definition in buffer-efficiency stats.
     pub activity_window_ns: u64,
@@ -147,7 +155,7 @@ fn splitmix64(mut x: u64) -> u64 {
 }
 
 /// Counters exported by the cache.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MgpvStats {
     /// Packets offered to the cache.
     pub packets: u64,
@@ -250,11 +258,108 @@ struct CgEntry {
     long_ptr: Option<u16>,
 }
 
+/// Implicit binary tree over the CG slots' `last_access_ns` that answers
+/// "first slot in `[lo, hi)` last touched before a cutoff" in O(log N),
+/// which lets the aging probe skip the live slots of its window instead of
+/// visiting each one.
+///
+/// Nodes hold the bitwise complement `!last_access_ns` and keep the
+/// *maximum* of their children, so "touched before the cutoff" reads "key
+/// above `!cutoff`", an empty slot is key 0 (never expired), and a new tree
+/// is one zeroed allocation with no fill pass at deploy time.
+///
+/// Derived state: rebuilt from the entries on restore, never serialized.
+#[derive(Clone, Debug)]
+struct AgeTree {
+    /// Node `i` holds the maximum of nodes `2i` and `2i + 1`; slot `s` is
+    /// leaf `leaves + s`. Padding leaves stay 0.
+    nodes: Vec<u64>,
+    leaves: usize,
+}
+
+impl AgeTree {
+    fn new(slots: usize) -> Self {
+        let leaves = slots.next_power_of_two();
+        AgeTree {
+            nodes: vec![0; 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// Records an access to `slot` at `ns`.
+    fn touch(&mut self, slot: usize, ns: u64) {
+        self.set(slot, !ns);
+    }
+
+    /// Marks `slot` empty.
+    fn clear(&mut self, slot: usize) {
+        self.set(slot, 0);
+    }
+
+    fn set(&mut self, slot: usize, key: u64) {
+        let mut i = self.leaves + slot;
+        self.nodes[i] = key;
+        while i > 1 {
+            i /= 2;
+            let max = self.nodes[2 * i].max(self.nodes[2 * i + 1]);
+            if self.nodes[i] == max {
+                break; // every ancestor is unchanged too
+            }
+            self.nodes[i] = max;
+        }
+    }
+
+    fn rebuild(&mut self, entries: &[Option<CgEntry>]) {
+        self.nodes.fill(0);
+        for (slot, e) in entries.iter().enumerate() {
+            if let Some(e) = e {
+                self.nodes[self.leaves + slot] = !e.last_access_ns;
+            }
+        }
+        for i in (1..self.leaves).rev() {
+            self.nodes[i] = self.nodes[2 * i].max(self.nodes[2 * i + 1]);
+        }
+    }
+
+    /// The first slot in `[lo, hi)` last touched before `cutoff`.
+    fn first_before(&self, lo: usize, hi: usize, cutoff: u64) -> Option<usize> {
+        if lo >= hi {
+            return None;
+        }
+        let above = !cutoff;
+        // Find the first such slot at or after `lo`, then bound it by `hi`:
+        // climb while the node is a left child (its parent starts at the
+        // same slot), else step to the right neighbour subtree.
+        let mut i = self.leaves + lo;
+        loop {
+            while i.is_multiple_of(2) {
+                i /= 2;
+            }
+            if self.nodes[i] > above {
+                while i < self.leaves {
+                    i *= 2;
+                    if self.nodes[i] <= above {
+                        i += 1;
+                    }
+                }
+                let slot = i - self.leaves;
+                return (slot < hi).then_some(slot);
+            }
+            i += 1;
+            if i.is_power_of_two() {
+                return None; // stepped past the last slot
+            }
+        }
+    }
+}
+
 /// One MGPV cache instance (one grouping granularity on the switch).
 #[derive(Clone, Debug)]
 pub struct MgpvCache {
     cfg: MgpvConfig,
     entries: Vec<Option<CgEntry>>,
+    /// `last_access_ns` of every slot, for the aging probe.
+    ages: AgeTree,
     long: Vec<Vec<MgpvRecord>>,
     free_longs: Vec<u16>,
     fg_table: Vec<Option<GroupKey>>,
@@ -264,6 +369,9 @@ pub struct MgpvCache {
     last_probe_ns: u64,
     stats: MgpvStats,
     sample_countdown: u32,
+    /// Age with the per-slot reference sweep instead of the tree.
+    #[cfg(test)]
+    reference_sweep: bool,
 }
 
 const SAMPLE_EVERY: u32 = 1024;
@@ -277,6 +385,7 @@ impl MgpvCache {
         }
         Some(MgpvCache {
             entries: vec![None; cfg.short_count],
+            ages: AgeTree::new(cfg.short_count),
             long: vec![Vec::new(); cfg.long_count],
             free_longs: (0..cfg.long_count as u16).rev().collect(),
             fg_table: vec![None; cfg.fg_table_size],
@@ -285,6 +394,8 @@ impl MgpvCache {
             last_probe_ns: 0,
             stats: MgpvStats::default(),
             sample_countdown: SAMPLE_EVERY,
+            #[cfg(test)]
+            reference_sweep: false,
             cfg,
         })
     }
@@ -439,6 +550,7 @@ impl MgpvCache {
                 self.stats.resident_records += 1;
             }
         }
+        self.ages.touch(bucket, now);
 
         // Track which CG bucket references the FG slot.
         if self.has_fg_table() && fg_key.is_some() {
@@ -455,17 +567,7 @@ impl MgpvCache {
             self.last_probe_ns = self.last_probe_ns.max(now);
             let timed = (elapsed as f64 * self.cfg.probe_rate_hz / 1e9) as usize;
             let n_probes = (self.cfg.probes_per_packet + timed).min(self.cfg.short_count);
-            for _ in 0..n_probes {
-                let i = self.probe_cursor;
-                self.probe_cursor = (self.probe_cursor + 1) % self.cfg.short_count;
-                let expired = match &self.entries[i] {
-                    Some(e) => now.saturating_sub(e.last_access_ns) > t,
-                    None => false,
-                };
-                if expired {
-                    self.evict_bucket(i, EvictionCause::Aging, Some(now), events);
-                }
-            }
+            self.probe_window(now, t, n_probes, events);
         }
 
         // --- Buffer-efficiency sampling. ---
@@ -493,6 +595,52 @@ impl MgpvCache {
         for b in 0..self.entries.len() {
             if self.entries[b].is_some() {
                 self.evict_bucket(b, EvictionCause::Flush, None, events);
+            }
+        }
+    }
+
+    /// Runs `n_probes` (≤ `short_count`) aging probes from the cursor:
+    /// evicts, in probe order, every slot of the window idle for more than
+    /// `t`, and advances the cursor past the window.
+    ///
+    /// A slot is expired iff `now − last_access > t` (saturating), i.e.
+    /// iff `now > t` and `last_access < now − t`; evictions only empty
+    /// slots, so the expired set is fixed for the whole window and the tree
+    /// walk evicts exactly what a slot-by-slot sweep would, in the same
+    /// order.
+    fn probe_window(&mut self, now: u64, t: u64, n_probes: usize, events: &mut Vec<SwitchEvent>) {
+        #[cfg(test)]
+        if self.reference_sweep {
+            return self.sweep_window(now, t, n_probes, events);
+        }
+        let n = self.cfg.short_count;
+        let start = self.probe_cursor;
+        let end = start + n_probes; // < 2n: the window wraps at most once
+        self.probe_cursor = end % n;
+        if now <= t {
+            return;
+        }
+        let cutoff = now - t;
+        for (mut lo, hi) in [(start, end.min(n)), (0, end.saturating_sub(n))] {
+            while let Some(slot) = self.ages.first_before(lo, hi, cutoff) {
+                self.evict_bucket(slot, EvictionCause::Aging, Some(now), events);
+                lo = slot + 1;
+            }
+        }
+    }
+
+    /// Reference aging probe: visits every slot of the window in turn.
+    #[cfg(test)]
+    fn sweep_window(&mut self, now: u64, t: u64, n_probes: usize, events: &mut Vec<SwitchEvent>) {
+        for _ in 0..n_probes {
+            let i = self.probe_cursor;
+            self.probe_cursor = (self.probe_cursor + 1) % self.cfg.short_count;
+            let expired = match &self.entries[i] {
+                Some(e) => now.saturating_sub(e.last_access_ns) > t,
+                None => false,
+            };
+            if expired {
+                self.evict_bucket(i, EvictionCause::Aging, Some(now), events);
             }
         }
     }
@@ -552,6 +700,7 @@ impl MgpvCache {
             Some(e) => e,
             None => return,
         };
+        self.ages.clear(bucket);
         let mut records = entry.short;
         if let Some(lp) = entry.long_ptr {
             records.append(&mut self.long[lp as usize]);
@@ -769,6 +918,7 @@ impl MgpvCache {
         }
         let stats = MgpvStats::load_state(r)?;
         self.entries = entries;
+        self.ages.rebuild(&self.entries);
         self.long = long;
         self.free_longs = free_longs;
         self.fg_table = fg_table;
@@ -784,6 +934,8 @@ impl MgpvCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use superfe_net::snap::{StateReader, StateWriter};
     use superfe_net::{Granularity, PacketRecord};
 
     fn cfg_small() -> MgpvConfig {
@@ -1265,6 +1417,249 @@ mod tests {
         assert!(same
             .load_state(&mut StateReader::new(&bytes[..bytes.len() - 1]))
             .is_none());
+    }
+
+    #[test]
+    fn age_tree_finds_first_slot_touched_before_cutoff() {
+        // Every (lo, hi, cutoff) against a linear scan, on a slot count
+        // that is not a power of two (padding leaves must never match).
+        let values = [
+            Some(7u64),
+            Some(3),
+            None,
+            Some(9),
+            Some(1),
+            Some(4),
+            None,
+            Some(8),
+            Some(2),
+        ];
+        let mut tree = AgeTree::new(values.len());
+        for (slot, v) in values.iter().enumerate() {
+            // Occupy every slot first, so clearing overwrites a live leaf.
+            tree.touch(slot, 0);
+            match v {
+                Some(ns) => tree.touch(slot, *ns),
+                None => tree.clear(slot),
+            }
+        }
+        for lo in 0..=values.len() {
+            for hi in lo..=values.len() {
+                for cutoff in 0..=10 {
+                    let expect = (lo..hi).find(|&s| values[s].is_some_and(|ns| ns < cutoff));
+                    assert_eq!(
+                        tree.first_before(lo, hi, cutoff),
+                        expect,
+                        "[{lo},{hi}) < {cutoff}"
+                    );
+                }
+            }
+        }
+        assert_eq!(tree.first_before(0, values.len(), u64::MAX), Some(0));
+    }
+
+    /// Which edge cases reference-differential runs exercised.
+    #[derive(Debug, Default)]
+    struct Covered {
+        wrapped: bool,
+        capped: bool,
+        backwards: bool,
+        before_t: bool,
+        aged: bool,
+        fg_reassigned: bool,
+    }
+
+    fn state_bytes(c: &MgpvCache) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        c.save_state(&mut w);
+        w.into_bytes()
+    }
+
+    /// The tree a fresh rebuild from the entries would hold.
+    fn ages_consistent(c: &MgpvCache) -> bool {
+        let mut fresh = AgeTree::new(c.cfg.short_count);
+        fresh.rebuild(&c.entries);
+        fresh.nodes == c.ages.nodes
+    }
+
+    /// Drives a tree-probing cache and a reference-sweep cache through
+    /// `trace` and requires identical events after every packet, then
+    /// identical counters and snapshot bytes after the final flush. The
+    /// tree cache is snapshotted and restored into a fresh cache before
+    /// packet `snap_at`, which checks the tree rebuild. Records the edge
+    /// cases the run reached in `cov`.
+    fn tree_matches_sweep(
+        cfg: MgpvConfig,
+        trace: &[PacketRecord],
+        snap_at: usize,
+        cov: &mut Covered,
+    ) -> Result<(), TestCaseError> {
+        let mut tree = MgpvCache::new(cfg).unwrap();
+        let mut sweep = MgpvCache::new(cfg).unwrap();
+        sweep.reference_sweep = true;
+        let (mut tree_ev, mut sweep_ev) = (Vec::new(), Vec::new());
+        let mut prev_ts = 0;
+        for (i, p) in trace.iter().enumerate() {
+            if i == snap_at {
+                let bytes = state_bytes(&tree);
+                tree = MgpvCache::new(cfg).unwrap();
+                prop_assert!(tree.load_state(&mut StateReader::new(&bytes)).is_some());
+            }
+            if let Some(t) = cfg.aging_t_ns {
+                let elapsed = p.ts_ns.saturating_sub(sweep.last_probe_ns);
+                let timed = (elapsed as f64 * cfg.probe_rate_hz / 1e9) as usize;
+                let n_probes = (cfg.probes_per_packet + timed).min(cfg.short_count);
+                cov.capped |= cfg.probes_per_packet + timed > cfg.short_count;
+                cov.wrapped |= sweep.probe_cursor + n_probes > cfg.short_count;
+                cov.before_t |= p.ts_ns <= t;
+            }
+            cov.backwards |= p.ts_ns < prev_ts;
+            prev_ts = p.ts_ns;
+            let (cg, fg) = keys(p);
+            tree_ev.clear();
+            sweep_ev.clear();
+            tree.insert_into(p, cg, fg, &mut tree_ev);
+            sweep.insert_into(p, cg, fg, &mut sweep_ev);
+            prop_assert_eq!(&tree_ev, &sweep_ev, "events diverged at packet {}", i);
+            prop_assert!(ages_consistent(&tree), "age tree stale after packet {}", i);
+        }
+        tree_ev.clear();
+        sweep_ev.clear();
+        tree.flush_into(&mut tree_ev);
+        sweep.flush_into(&mut sweep_ev);
+        prop_assert_eq!(&tree_ev, &sweep_ev);
+        prop_assert_eq!(tree.stats(), sweep.stats());
+        prop_assert_eq!(state_bytes(&tree), state_bytes(&sweep));
+        let cause = |c: EvictionCause| EvictionCause::all().iter().position(|x| *x == c).unwrap();
+        cov.aged |= sweep.stats().evictions[cause(EvictionCause::Aging)] > 0;
+        cov.fg_reassigned |= sweep.stats().evictions[cause(EvictionCause::FgCollision)] > 0;
+        Ok(())
+    }
+
+    /// A packet trace from `(host, port, gap_ns, step_kind)` tuples: one
+    /// step kind in eight moves the clock backwards by the gap.
+    fn trace_of(steps: Vec<(u32, u16, u64, u8)>) -> Vec<PacketRecord> {
+        let mut ts = 0u64;
+        steps
+            .into_iter()
+            .map(|(host, port, gap, kind)| {
+                ts = if kind == 0 {
+                    ts.saturating_sub(gap)
+                } else {
+                    ts + gap
+                };
+                pkt(host + 1, 99, 1000 + port, ts)
+            })
+            .collect()
+    }
+
+    fn probe_cfg() -> impl Strategy<Value = MgpvConfig> {
+        (
+            1usize..40,
+            1usize..4,
+            0usize..4,
+            1usize..6,
+            0usize..6,
+            0u8..4,
+            0usize..4,
+            (0u8..4, 0u8..3, 0u64..1_000),
+        )
+            .prop_map(
+                |(
+                    short_count,
+                    short_size,
+                    long_count,
+                    long_size,
+                    fg,
+                    t,
+                    probes,
+                    (rate, policy, seed),
+                )| {
+                    MgpvConfig {
+                        short_count,
+                        short_size,
+                        long_count,
+                        long_size,
+                        fg_table_size: fg,
+                        aging_t_ns: [None, Some(0), Some(2_000), Some(20_000)][usize::from(t)],
+                        probes_per_packet: probes,
+                        probe_rate_hz: [0.0, 1e6, 1e7, 1e9][usize::from(rate)],
+                        activity_window_ns: 10_000,
+                        policy: match policy {
+                            0 => CgEvictPolicy::DirectMapped,
+                            1 => CgEvictPolicy::RandomWay { ways: 2, seed },
+                            _ => CgEvictPolicy::RandomWay { ways: 3, seed },
+                        },
+                    }
+                },
+            )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The tree-backed probe evicts exactly what the per-slot sweep
+        /// evicts: same events in the same order, same counters, same
+        /// snapshot bytes — across random geometries, probe rates, aging
+        /// timeouts, CG policies, FG tables and non-monotonic clocks.
+        #[test]
+        fn tree_probe_matches_reference_sweep(
+            cfg in probe_cfg(),
+            steps in proptest::collection::vec((0u32..10, 0u16..4, 0u64..4_000, 0u8..8), 1..300),
+            snap_at in 0usize..300,
+        ) {
+            tree_matches_sweep(cfg, &trace_of(steps), snap_at, &mut Covered::default())?;
+        }
+    }
+
+    #[test]
+    fn reference_differential_covers_probe_edge_cases() {
+        // Fixed cases that must between them hit every edge the random
+        // differential is meant to reach.
+        let mut lcg = 0x2545_F491_4F6C_DD1Du64;
+        let steps: Vec<(u32, u16, u64, u8)> = (0..600)
+            .map(|_| {
+                lcg = splitmix64(lcg);
+                (
+                    (lcg % 9) as u32,
+                    (lcg >> 8) as u16 % 4,
+                    (lcg >> 16) % 4_000,
+                    (lcg >> 32) as u8 % 8,
+                )
+            })
+            .collect();
+        let trace = trace_of(steps);
+        let base = MgpvConfig {
+            short_count: 12,
+            short_size: 2,
+            long_count: 2,
+            long_size: 3,
+            fg_table_size: 2,
+            aging_t_ns: Some(2_000),
+            probes_per_packet: 1,
+            probe_rate_hz: 1e9,
+            activity_window_ns: 10_000,
+            policy: CgEvictPolicy::RandomWay { ways: 3, seed: 9 },
+        };
+        let wrap_uncapped = MgpvConfig {
+            probes_per_packet: 5,
+            probe_rate_hz: 0.0,
+            policy: CgEvictPolicy::DirectMapped,
+            ..base
+        };
+        let mut cov = Covered::default();
+        for cfg in [base, wrap_uncapped] {
+            tree_matches_sweep(cfg, &trace, trace.len() / 2, &mut cov).unwrap();
+        }
+        assert!(
+            cov.wrapped
+                && cov.capped
+                && cov.backwards
+                && cov.before_t
+                && cov.aged
+                && cov.fg_reassigned,
+            "{cov:?}"
+        );
     }
 
     #[test]

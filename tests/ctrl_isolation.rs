@@ -525,3 +525,130 @@ mod alert_isolation {
         }
     }
 }
+
+/// Groups the NIC table budget finalizes early are tenant output too: on a
+/// plane with a capped [`superfe::nic::TableBudget`], no tenant may lose
+/// an evicted vector at any worker count, and at one shard every tenant's
+/// evicted vectors — solo unit, fused member and snapshot-detached fused
+/// member alike — must be bitwise those of the same policy on a sequential
+/// `FeSwitch` + `FeNic` under the same budget.
+mod budget_evictions {
+    use superfe::ctrl::{CtrlPlane, TenantSpec};
+    use superfe::net::PacketRecord;
+    use superfe::nic::{EvictedVector, EvictionPolicy, FeNic, TableBudget};
+    use superfe::policy::dsl;
+    use superfe::switch::FeSwitch;
+    use superfe::{AnalyzeConfig, SuperFeConfig};
+
+    use super::POOL;
+
+    fn budget() -> TableBudget {
+        TableBudget::capped(4, EvictionPolicy::EvictOldest)
+    }
+
+    fn spec(name: &str, pool_index: usize) -> TenantSpec {
+        TenantSpec {
+            name: name.into(),
+            policy: dsl::parse(POOL[pool_index]).expect("pool policy is valid"),
+            cfg: SuperFeConfig::default(),
+        }
+    }
+
+    /// One packet per host, so both the host and the flow policy see more
+    /// groups than the NIC's on-chip table holds without spilling: about
+    /// one group in a hundred overflows to the capped DRAM tier. Host
+    /// addresses are scrambled because the key hash is a CRC, which spreads
+    /// consecutive addresses perfectly over the buckets.
+    fn traffic() -> Vec<PacketRecord> {
+        (0..20_000u32)
+            .map(|i| {
+                PacketRecord::tcp(
+                    u64::from(i) * 2_000,
+                    60 + (i % 50) as u16,
+                    (i + 1).wrapping_mul(0x9E37_79B1),
+                    1000 + (i % 5) as u16,
+                    9,
+                    80,
+                )
+            })
+            .collect()
+    }
+
+    fn solo_evicted(spec: &TenantSpec, pkts: &[PacketRecord]) -> Vec<EvictedVector> {
+        let compiled = superfe::gate(&spec.policy, &spec.cfg).expect("policy deploys");
+        let mut switch =
+            FeSwitch::with_config(compiled.switch.clone(), spec.cfg.cache, spec.cfg.mode)
+                .expect("valid cache config");
+        let mut nic = FeNic::with_budget(&compiled, spec.cfg.cache.fg_table_size, budget())
+            .expect("valid table geometry");
+        let mut frame = Vec::new();
+        for p in pkts {
+            switch.process_into(p, &mut frame);
+        }
+        switch.flush_into(&mut frame);
+        for e in &frame {
+            nic.handle(e);
+        }
+        nic.finish();
+        nic.take_evicted()
+    }
+
+    #[test]
+    fn capped_plane_keeps_every_tenants_evicted_vectors() {
+        let specs = [spec("host", 0), spec("flow", 1), spec("flow-twin", 1)];
+        let pkts = traffic();
+        let detach_at = pkts.len() * 3 / 5;
+        for workers in [1, 2, 4] {
+            let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
+            plane.set_table_budget(budget());
+            let ids: Vec<_> = specs
+                .iter()
+                .map(|s| plane.attach(s, None).expect("admitted"))
+                .collect();
+            assert_eq!(plane.units().len(), 2, "the flow twins fuse into one unit");
+            let mut outputs = [None, None, None];
+            for (i, p) in pkts.iter().enumerate() {
+                if i == detach_at {
+                    // A fused member leaves through the snapshot handshake.
+                    outputs[2] = Some(plane.detach(ids[2]).expect("snapshot detach"));
+                }
+                plane.push(p).expect("workers alive");
+            }
+            for run in plane.finish().expect("workers alive") {
+                let ti = ids
+                    .iter()
+                    .position(|id| *id == run.id)
+                    .expect("known tenant");
+                outputs[ti] = Some(run.output);
+            }
+            for (ti, spec) in specs.iter().enumerate() {
+                let out = outputs[ti].as_ref().expect("every tenant ran");
+                assert!(
+                    !out.evicted_vectors.is_empty(),
+                    "tenant {} evicted nothing at {workers} workers; the budget is not binding",
+                    spec.name
+                );
+                assert_eq!(
+                    out.evicted_vectors.len() as u64,
+                    out.stats.evicted_groups,
+                    "tenant {} lost evicted vectors at {workers} workers",
+                    spec.name
+                );
+                if workers == 1 {
+                    // One shard is one table under the budget: bitwise solo.
+                    let window = if ti == 2 {
+                        &pkts[..detach_at]
+                    } else {
+                        &pkts[..]
+                    };
+                    assert_eq!(
+                        out.evicted_vectors,
+                        solo_evicted(spec, window),
+                        "tenant {} evicted vectors diverged from the solo run",
+                        spec.name
+                    );
+                }
+            }
+        }
+    }
+}
