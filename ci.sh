@@ -36,13 +36,16 @@ step "ring stress (randomized SPSC producer/consumer)"
 # at the data path.
 cargo test -q -p superfe-net --test ring_stress
 
-step "aging probe differentials in release (overflow checks off)"
-# The MGPV aging probe walks a slot tree with plain index arithmetic, and
-# release builds (what the benchmark and the bench runners use) do not trap
-# overflow. Run the tree-vs-per-slot-sweep proptest (mgpv unit tests), the
-# MGPV properties and the streaming differential once in that configuration.
+step "differentials in release (overflow checks off)"
+# Release builds (what the benchmark and the bench runners use) do not trap
+# overflow. Run once in that configuration: the MGPV aging probe's
+# tree-vs-per-slot-sweep proptest (mgpv unit tests) and the MGPV properties,
+# which cover its plain index arithmetic; and the differentials over the NIC
+# streaming runtime — single-policy, multi-tenant, in-shard quantized
+# scoring and snapshot/restore.
 cargo test -q --release -p superfe-switch --lib mgpv
-cargo test -q --release --test mgpv_properties --test streaming_differential
+cargo test -q --release --test mgpv_properties --test streaming_differential \
+  --test ctrl_isolation --test detect_differential --test plane_snapshot
 
 step "superfe check (bundled policies + examples)"
 # Every bundled application policy and every example .sfe file must pass the

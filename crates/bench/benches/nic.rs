@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use std::hint::black_box;
 
 use superfe_apps::policies;
-use superfe_nic::{FeNic, ParallelNic};
+use superfe_nic::{FeNic, StreamingNic};
 use superfe_policy::{compile, dsl, CompiledPolicy};
 use superfe_switch::{FeSwitch, SwitchEvent};
 use superfe_trafficgen::Workload;
@@ -52,12 +52,16 @@ fn bench_parallel(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(PACKETS as u64));
     for workers in [1usize, 2, 4, 8] {
+        // Times push + finish; spawning the shard threads is setup.
         g.bench_function(format!("workers_{workers}"), |b| {
-            let nic = ParallelNic::new(workers);
-            b.iter(|| {
-                let out = nic.run(&compiled, &events, 16_384).expect("runs");
-                black_box(out.stats.records)
-            });
+            b.iter_batched(
+                || StreamingNic::new(&compiled, 16_384, workers).expect("executor starts"),
+                |mut nic| {
+                    nic.push_all(events.iter().cloned()).expect("workers alive");
+                    black_box(nic.finish().expect("workers alive").stats.records)
+                },
+                BatchSize::PerIteration,
+            );
         });
     }
     g.finish();

@@ -776,7 +776,7 @@ impl CtrlPlane {
 mod tests {
     use super::*;
     use superfe_core::analyze::AnalyzeConfig;
-    use superfe_core::StreamingPipeline;
+    use superfe_nic::{FeNic, FeatureVector};
     use superfe_policy::dsl::parse;
 
     fn spec(name: &str, src: &str) -> TenantSpec {
@@ -819,12 +819,39 @@ mod tests {
         })
     }
 
-    fn solo(ts: &TenantSpec, n: u64, workers: usize) -> superfe_core::Extraction {
-        let mut fe = StreamingPipeline::with_config(&ts.policy, ts.cfg, workers).unwrap();
+    /// Key-sorted copy; the sort is stable, so each key keeps its vector
+    /// order (the sharded merge order depends on the worker count).
+    fn sorted(v: &[FeatureVector]) -> Vec<FeatureVector> {
+        let mut v = v.to_vec();
+        v.sort_by_cached_key(|f| format!("{:?}", f.key));
+        v
+    }
+
+    /// The independent oracle: the tenant alone on a sequential `FeSwitch`
+    /// + `FeNic`, vectors key-sorted.
+    fn solo(ts: &TenantSpec, n: u64) -> StreamOutput {
+        let compiled = superfe_core::gate(&ts.policy, &ts.cfg).unwrap();
+        let mut sw = superfe_switch::FeSwitch::with_config(
+            compiled.switch.clone(),
+            ts.cfg.cache,
+            ts.cfg.mode,
+        )
+        .unwrap();
+        let mut nic = FeNic::new(&compiled, ts.cfg.cache.fg_table_size).unwrap();
+        let mut frame = Vec::new();
         for p in packets(n) {
-            fe.push(&p).unwrap();
+            sw.process_into(&p, &mut frame);
         }
-        fe.finish().unwrap()
+        sw.flush_into(&mut frame);
+        for e in &frame {
+            nic.handle(e);
+        }
+        let groups = nic.finish();
+        StreamOutput {
+            group_vectors: sorted(&groups),
+            packet_vectors: sorted(&nic.take_packet_vectors()),
+            ..StreamOutput::default()
+        }
     }
 
     #[test]
@@ -842,10 +869,10 @@ mod tests {
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 2);
         assert_eq!(runs[0].name, "host-sum");
-        let solo_a = solo(&host_sum(), 900, 2);
-        let solo_b = solo(&flow_stats(), 900, 2);
-        assert_eq!(runs[0].output.group_vectors, solo_a.group_vectors);
-        assert_eq!(runs[1].output.group_vectors, solo_b.group_vectors);
+        let solo_a = solo(&host_sum(), 900);
+        let solo_b = solo(&flow_stats(), 900);
+        assert_eq!(sorted(&runs[0].output.group_vectors), solo_a.group_vectors);
+        assert_eq!(sorted(&runs[1].output.group_vectors), solo_b.group_vectors);
     }
 
     #[test]
@@ -868,8 +895,8 @@ mod tests {
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].id, a);
         // Survivor unaffected by the mid-stream epoch.
-        let solo_a = solo(&host_sum(), 1200, 4);
-        assert_eq!(runs[0].output.group_vectors, solo_a.group_vectors);
+        let solo_a = solo(&host_sum(), 1200);
+        assert_eq!(sorted(&runs[0].output.group_vectors), solo_a.group_vectors);
     }
 
     #[test]
@@ -892,13 +919,13 @@ mod tests {
         assert_eq!(plane.tenant_switch_stats(b).unwrap().pkts_in, 900);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 3);
-        let solo_h = solo(&host_sum(), 900, 2);
-        let solo_f = solo(&flow_stats(), 900, 2);
+        let solo_h = solo(&host_sum(), 900);
+        let solo_f = solo(&flow_stats(), 900);
         for run in &runs[..2] {
-            assert_eq!(run.output.group_vectors, solo_h.group_vectors);
-            assert_eq!(run.output.packet_vectors, solo_h.packet_vectors);
+            assert_eq!(sorted(&run.output.group_vectors), solo_h.group_vectors);
+            assert_eq!(sorted(&run.output.packet_vectors), solo_h.packet_vectors);
         }
-        assert_eq!(runs[2].output.group_vectors, solo_f.group_vectors);
+        assert_eq!(sorted(&runs[2].output.group_vectors), solo_f.group_vectors);
     }
 
     #[test]
@@ -918,14 +945,17 @@ mod tests {
             plane.push(&p).unwrap();
         }
         let gone = detached.unwrap();
-        let solo_half = solo(&host_sum(), 600, 2);
-        assert_eq!(gone.group_vectors, solo_half.group_vectors);
-        assert_eq!(gone.packet_vectors, solo_half.packet_vectors);
+        let solo_half = solo(&host_sum(), 600);
+        assert_eq!(sorted(&gone.group_vectors), solo_half.group_vectors);
+        assert_eq!(sorted(&gone.packet_vectors), solo_half.packet_vectors);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].id, b);
-        let solo_full = solo(&host_sum(), 1200, 2);
-        assert_eq!(runs[0].output.group_vectors, solo_full.group_vectors);
+        let solo_full = solo(&host_sum(), 1200);
+        assert_eq!(
+            sorted(&runs[0].output.group_vectors),
+            solo_full.group_vectors
+        );
     }
 
     fn host_max() -> TenantSpec {
@@ -958,12 +988,12 @@ mod tests {
         assert_eq!(plane.tenant_switch_stats(b).unwrap().pkts_in, 900);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 3);
-        let solo_s = solo(&host_sum(), 900, 2);
-        let solo_m = solo(&host_max(), 900, 2);
-        let solo_f = solo(&flow_stats(), 900, 2);
-        assert_eq!(runs[0].output.group_vectors, solo_s.group_vectors);
-        assert_eq!(runs[1].output.group_vectors, solo_m.group_vectors);
-        assert_eq!(runs[2].output.group_vectors, solo_f.group_vectors);
+        let solo_s = solo(&host_sum(), 900);
+        let solo_m = solo(&host_max(), 900);
+        let solo_f = solo(&flow_stats(), 900);
+        assert_eq!(sorted(&runs[0].output.group_vectors), solo_s.group_vectors);
+        assert_eq!(sorted(&runs[1].output.group_vectors), solo_m.group_vectors);
+        assert_eq!(sorted(&runs[2].output.group_vectors), solo_f.group_vectors);
     }
 
     #[test]
@@ -983,14 +1013,17 @@ mod tests {
             plane.push(&p).unwrap();
         }
         let gone = detached.unwrap();
-        let solo_half = solo(&host_max(), 600, 2);
-        assert_eq!(gone.group_vectors, solo_half.group_vectors);
-        assert_eq!(gone.packet_vectors, solo_half.packet_vectors);
+        let solo_half = solo(&host_max(), 600);
+        assert_eq!(sorted(&gone.group_vectors), solo_half.group_vectors);
+        assert_eq!(sorted(&gone.packet_vectors), solo_half.packet_vectors);
         let runs = plane.finish().unwrap();
         assert_eq!(runs.len(), 1);
         assert_eq!(runs[0].id, a);
-        let solo_full = solo(&host_sum(), 1200, 2);
-        assert_eq!(runs[0].output.group_vectors, solo_full.group_vectors);
+        let solo_full = solo(&host_sum(), 1200);
+        assert_eq!(
+            sorted(&runs[0].output.group_vectors),
+            solo_full.group_vectors
+        );
     }
 
     #[test]

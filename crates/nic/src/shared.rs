@@ -1,45 +1,75 @@
-//! Multi-tenant streaming NIC executor: one shard pool, N execution units.
+//! The NIC streaming runtime: one CG-key-sharded worker pool serving any
+//! number of execution units.
 //!
-//! The NIC half of the shared data path (see `superfe-switch::tenant` for
-//! the switch half). The same CG-key-sharded worker pool as
-//! [`StreamingNic`](crate::stream::StreamingNic) serves every tenant at
-//! once; the differences that make it multi-tenant:
+//! The NFP's ingress NBI distributes packets to cores on a per-IP basis so
+//! cores never contend on group state (§6.2). This module is the software
+//! analogue as a *pipeline stage*: the producer (the switch) pushes tagged
+//! events as they are emitted, the executor routes each one to the worker
+//! owning its CG-key shard, and workers compute features concurrently while
+//! the producer is still parsing packets — the full event stream is never
+//! materialized. It is the crate's only NIC worker pool: a single-policy
+//! [`StreamingNic`](crate::stream::StreamingNic) is this runtime with one
+//! unit resident from the start, and the `superfe-ctrl` control plane
+//! attaches and detaches many while the stream flows.
 //!
-//! - **Tagged events, solo-identical routing**: the switch link carries
-//!   [`TaggedEvent`]s. An MGPV eviction still goes to shard
-//!   `hash % workers` — *not* tenant-salted — so each tenant's per-shard
-//!   event subsequence (and therefore its merged output order and
-//!   `(shard, seq)` egress tags) is bitwise-identical to a solo
-//!   [`StreamingNic`](crate::stream::StreamingNic) at the same worker
-//!   count. FG updates broadcast to every shard, exactly as solo.
+//! Design invariants (see DESIGN.md "Threading model"):
+//!
+//! - **Shard by CG key**: an MGPV eviction goes to shard `hash % workers`
+//!   — *not* tenant-salted. Every record of a group carries the same CG
+//!   hash, so a group's state lives on exactly one worker (no locks, no
+//!   cross-worker merges), and a unit's per-shard event subsequence — hence
+//!   its merged output order and `(shard, seq)` egress tags — depends only
+//!   on its own events and the worker count, never on its co-tenants.
+//! - **FG broadcast**: FG updates are appended to *every* shard's frame, in
+//!   stream order relative to the MGPV events around them, which preserves
+//!   the switch's FgUpdate-before-reference ordering on each shard.
+//! - **Bounded rings**: each worker is fed over a [`superfe_net::ring`]
+//!   SPSC ring holding at most [`CHANNEL_DEPTH`] messages. A producer
+//!   outrunning a worker blocks (backpressure) instead of buffering
+//!   unboundedly; the doorbell publishes [`DOORBELL_FRAMES`] frames per
+//!   wakeup.
+//! - **Frame batching and bounded recycling**: events travel in
+//!   [`FRAME_SIZE`]-event frames; drained frames return to the producer
+//!   over a bounded per-worker recycle ring ([`RECYCLE_DEPTH`] slots) with
+//!   drop-on-full semantics, so the frame inventory is capped at
+//!   `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)` frames.
 //! - **Execution units with member demux**: each worker owns one private
 //!   [`FeNic`] per *unit* — a set of tenants the SF07xx analysis proved
 //!   semantically equivalent (`superfe_policy::analyze::equiv`), fused by
-//!   the control plane. A solo tenant is a unit of one. Events are tagged
-//!   with unit ids; the unit's engine runs the extraction once and the
-//!   **demux contract** fans the emitted vectors out per member: every
-//!   member receives its own copy of each feature vector and its own
-//!   egress `(shard, seq)` numbering through its own [`VectorSink`], so
-//!   member-visible output is bitwise identical to a solo run and state
-//!   never crosses unit boundaries.
+//!   the control plane. A solo tenant is a unit of one. The unit's engine
+//!   runs the extraction once and the **demux contract** fans the emitted
+//!   vectors out per member: every member receives its own copy of each
+//!   feature vector and its own egress `(shard, seq)` numbering, so
+//!   member-visible output is bitwise a solo run's and state never crosses
+//!   unit boundaries. Several units may consume one shared-prefix switch
+//!   partition's stream (SF08xx).
+//! - **In-shard egress**: a member's [`VectorSink`] runs on the worker, and
+//!   so does the quantized scorer of a
+//!   [`StreamingNic::with_inference`](crate::stream::StreamingNic::with_inference)
+//!   unit; both tag a vector with the same `seq`.
 //! - **Epoch-based reconfiguration**: [`SharedStreamingNic::attach`],
 //!   [`SharedStreamingNic::join`] and the detach handshakes travel
-//!   *in-band* as control markers through the same bounded SPSC rings as
-//!   event frames (markers ring the doorbell immediately, so a handshake
-//!   is never parked behind a half-staged frame batch), so every worker
-//!   applies them at the same point of the
-//!   event stream — the epoch boundary. Detaching a unit's last member is
-//!   a drain-and-flush handshake ([`SharedStreamingNic::detach`]);
-//!   detaching a member of a still-populated unit is a **snapshot**
-//!   handshake ([`SharedStreamingNic::snapshot_detach`]): each worker
-//!   clones the unit's engine, applies the caller-provided snapshot flush
-//!   of the switch partition to the clone, and finalizes the clone — the
-//!   departing member gets exactly the output a destructive detach would
-//!   have produced while the survivors' live state is never touched.
+//!   *in-band* as control markers through the same rings as event frames
+//!   (markers ring the doorbell immediately, so a handshake is never parked
+//!   behind a half-staged frame batch), so every worker applies them at the
+//!   same point of the event stream — the epoch boundary. Detaching a
+//!   unit's last member is a drain-and-flush handshake
+//!   ([`SharedStreamingNic::detach`]); detaching a member of a
+//!   still-populated unit is a **snapshot** handshake
+//!   ([`SharedStreamingNic::snapshot_detach`]): each worker clones the
+//!   unit's engine, applies the caller-provided snapshot flush of the
+//!   switch partition to the clone, and finalizes the clone — the departing
+//!   member gets exactly the output a destructive detach would have
+//!   produced while the survivors' live state is never touched.
+//! - **Deterministic merge**: worker outputs (joins and handshake acks) are
+//!   merged in shard order, independent of thread scheduling.
 
 use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use superfe_ml::QuantizedDetector;
+use superfe_net::metrics::{monotonic_ns, StageMetrics};
 use superfe_net::ring;
 use superfe_net::Granularity;
 use superfe_policy::CompiledPolicy;
@@ -48,11 +78,16 @@ use superfe_switch::SwitchEvent;
 
 use crate::engine::{EvictedVector, FeNic, FeatureVector, NicStats};
 use crate::error::NicError;
+use crate::inference::{InlineAlert, InlineInference, InlineStats};
 use crate::stream::{
     EgressVector, StreamOutput, VectorSink, CHANNEL_DEPTH, DOORBELL_FRAMES, FRAME_SIZE,
     RECYCLE_DEPTH,
 };
 use crate::table::TableBudget;
+
+/// The unit (and its only member) that [`SharedStreamingNic::solo`]
+/// attaches.
+pub(crate) const SOLO: TenantId = TenantId(0);
 
 /// One shard's dump payload: `(unit, group, state)` per resident unit.
 type ShardDump = Vec<(TenantId, TenantId, ShardUnitState)>;
@@ -173,14 +208,67 @@ struct TenantPiece {
     evicted: Vec<EvictedVector>,
     stats: NicStats,
     groups_per_level: Vec<(Granularity, usize)>,
+    /// Alerts and counters of the member's in-shard scorer, if it had one.
+    inline: Option<(Vec<InlineAlert>, InlineStats)>,
 }
 
-/// One member's egress half: its sink and `(shard, seq)` numbering.
+/// One member's egress half: its sink, its optional in-shard scorer, and
+/// the `(shard, seq)` numbering the two share.
 struct MemberEgress {
     member: TenantId,
     sink: Option<Box<dyn VectorSink>>,
-    /// Per-(member, shard) monotonic egress sequence number.
+    /// Quantized detector scoring every vector this member egresses.
+    scorer: Option<InlineInference>,
+    /// Per-(member, shard) monotonic egress sequence number. It advances
+    /// once per egressed vector whenever the member has a sink or a scorer.
     seq: u64,
+}
+
+impl MemberEgress {
+    fn new(member: TenantId, sink: Option<Box<dyn VectorSink>>) -> Self {
+        MemberEgress {
+            member,
+            sink,
+            scorer: None,
+            seq: 0,
+        }
+    }
+
+    /// Egresses `vectors` in order at this member's next positions: each
+    /// is scored (with a scorer) and emitted (with a sink) under one `seq`.
+    /// The sink takes the vectors; a sinkless member hands them back.
+    fn egress(&mut self, shard: usize, vectors: Vec<FeatureVector>) -> Vec<FeatureVector> {
+        if let Some(scorer) = self.scorer.as_mut() {
+            for (seq, vector) in (self.seq..).zip(&vectors) {
+                scorer.score(shard, seq, vector);
+            }
+        }
+        let Some(sink) = self.sink.as_mut() else {
+            if self.scorer.is_some() {
+                self.seq += vectors.len() as u64;
+            }
+            return vectors;
+        };
+        for vector in vectors {
+            sink.emit(EgressVector {
+                shard,
+                seq: self.seq,
+                vector,
+            });
+            self.seq += 1;
+        }
+        Vec::new()
+    }
+}
+
+/// Hands `buf` to one of several consumers: a copy, or — for the last
+/// consumer — the buffer itself.
+fn hand_out<T: Clone>(buf: &mut Vec<T>, last: bool) -> Vec<T> {
+    if last {
+        std::mem::take(buf)
+    } else {
+        buf.clone()
+    }
 }
 
 /// One execution unit's state on one worker: a single engine shared by
@@ -193,78 +281,77 @@ struct UnitEngine {
     nic: Box<FeNic>,
     members: Vec<MemberEgress>,
     /// Per-packet vectors accumulated for sinkless members' final output
-    /// (sinked members stream theirs out per frame, exactly as solo).
+    /// (sinked members stream theirs out per frame).
     pkts_accum: Vec<FeatureVector>,
     shard: usize,
 }
 
 impl UnitEngine {
-    /// Demuxes freshly accumulated per-packet vectors: a copy to every
-    /// member with a sink (each under its own sequence numbering), and
-    /// into the unit buffer when any sinkless member still needs them.
+    fn has_sink(&self) -> bool {
+        self.members.iter().any(|m| m.sink.is_some())
+    }
+
+    /// Demuxes freshly accumulated per-packet vectors: every member
+    /// egresses them under its own sequence numbering, and they land in
+    /// the unit buffer when any sinkless member still needs them.
     fn drain_packets(&mut self) {
-        let fresh = self.nic.take_packet_vectors();
+        let mut fresh = self.nic.take_packet_vectors();
         if fresh.is_empty() {
             return;
         }
-        for m in &mut self.members {
-            if let Some(sink) = m.sink.as_mut() {
-                for vector in fresh.iter().cloned() {
-                    sink.emit(EgressVector {
-                        shard: self.shard,
-                        seq: m.seq,
-                        vector,
-                    });
-                    m.seq += 1;
-                }
+        let keep = self.members.iter().any(|m| m.sink.is_none());
+        let n = self.members.len();
+        for (i, m) in self.members.iter_mut().enumerate() {
+            if m.sink.is_some() {
+                m.egress(self.shard, hand_out(&mut fresh, i + 1 == n && !keep));
+            } else {
+                fresh = m.egress(self.shard, fresh);
             }
         }
-        if self.members.iter().any(|m| m.sink.is_none()) {
+        if keep {
             self.pkts_accum.extend(fresh);
         }
     }
 
-    /// End of stream for the whole unit on this shard: finish the engine
-    /// once, then demux — every member gets its own copy of the group
-    /// vectors (and its sink flushed).
-    fn finalize(self) -> Vec<TenantPiece> {
+    /// End of stream for the whole unit on this shard: drain the last
+    /// per-packet vectors, finish the engine once, then demux — every
+    /// member gets its own copy of the group vectors (and its sink
+    /// flushed). The last member takes the buffers themselves.
+    fn finalize(mut self) -> Vec<TenantPiece> {
+        self.drain_packets();
         let UnitEngine {
             mut nic,
             members,
-            pkts_accum,
+            mut pkts_accum,
             shard,
             ..
         } = self;
-        let groups = nic.finish();
-        let tail = nic.take_packet_vectors();
-        let evicted = nic.take_evicted();
+        let mut groups = nic.finish();
+        let mut evicted = nic.take_evicted();
         let stats = *nic.stats();
         let groups_per_level = nic.groups_per_level();
-        let mut pieces = Vec::with_capacity(members.len());
-        for mut m in members {
-            let pkts = if let Some(mut sink) = m.sink.take() {
-                for vector in groups.iter().cloned() {
-                    sink.emit(EgressVector {
-                        shard,
-                        seq: m.seq,
-                        vector,
-                    });
-                    m.seq += 1;
-                }
-                sink.flush();
-                tail.clone()
+        let n = members.len();
+        let last_sinkless = members.iter().rposition(|m| m.sink.is_none());
+        let mut pieces = Vec::with_capacity(n);
+        for (i, mut m) in members.into_iter().enumerate() {
+            let pkts = if m.sink.is_some() {
+                m.egress(shard, groups.clone());
+                Vec::new()
             } else {
-                let mut v = pkts_accum.clone();
-                v.extend(tail.iter().cloned());
-                v
+                groups = m.egress(shard, groups);
+                hand_out(&mut pkts_accum, Some(i) == last_sinkless)
             };
+            if let Some(mut sink) = m.sink.take() {
+                sink.flush();
+            }
             pieces.push(TenantPiece {
                 tenant: m.member,
-                groups: groups.clone(),
+                groups: hand_out(&mut groups, i + 1 == n),
                 pkts,
-                evicted: evicted.clone(),
+                evicted: hand_out(&mut evicted, i + 1 == n),
                 stats,
                 groups_per_level: groups_per_level.clone(),
+                inline: m.scorer.map(InlineInference::into_parts),
             });
         }
         pieces
@@ -277,58 +364,213 @@ impl UnitEngine {
     /// surviving members are untouched.
     fn snapshot_member(&mut self, member: TenantId, events: &[SwitchEvent]) -> Option<TenantPiece> {
         let pos = self.members.iter().position(|m| m.member == member)?;
-        let mut m = self.members.remove(pos);
+        let departing = self.members.remove(pos);
         let mut nic = self.nic.clone();
         for e in events {
             nic.handle(e);
         }
-        // Mirror the solo finish sequence: flushed per-packet vectors
-        // first, then the finished group vectors.
-        let fresh = nic.take_packet_vectors();
-        let mut pkts = if m.sink.is_some() {
+        let survivors_need = self.members.iter().any(|m| m.sink.is_none());
+        let pkts_accum = if departing.sink.is_some() {
             Vec::new()
         } else {
-            self.pkts_accum.clone()
+            hand_out(&mut self.pkts_accum, !survivors_need)
         };
-        if let Some(sink) = m.sink.as_mut() {
-            for vector in fresh.iter().cloned() {
-                sink.emit(EgressVector {
-                    shard: self.shard,
-                    seq: m.seq,
-                    vector,
-                });
-                m.seq += 1;
-            }
-        } else {
-            pkts.extend(fresh);
-        }
-        let groups = nic.finish();
-        let tail = nic.take_packet_vectors();
-        if let Some(mut sink) = m.sink.take() {
-            for vector in groups.iter().cloned() {
-                sink.emit(EgressVector {
-                    shard: self.shard,
-                    seq: m.seq,
-                    vector,
-                });
-                m.seq += 1;
-            }
-            sink.flush();
-            pkts = tail;
-        } else {
-            pkts.extend(tail);
-        }
-        if !self.members.iter().any(|mm| mm.sink.is_none()) {
+        if !survivors_need {
             self.pkts_accum.clear();
         }
-        Some(TenantPiece {
-            tenant: member,
-            groups,
-            pkts,
-            evicted: nic.take_evicted(),
-            stats: *nic.stats(),
-            groups_per_level: nic.groups_per_level(),
+        let clone = UnitEngine {
+            unit: self.unit,
+            group: self.group,
+            nic,
+            members: vec![departing],
+            pkts_accum,
+            shard: self.shard,
+        };
+        clone.finalize().pop()
+    }
+}
+
+/// One shard worker: applies frames and epoch markers in stream order
+/// until the ring closes, then finalizes every unit still resident.
+fn run_shard(
+    shard: usize,
+    mut rx: ring::Consumer<ShardMsg>,
+    mut recycle: ring::Producer<Vec<TaggedEvent>>,
+    mut engines: Vec<UnitEngine>,
+    metrics: Option<Arc<StageMetrics>>,
+) -> Vec<TenantPiece> {
+    while let Ok(msg) = rx.recv() {
+        match msg {
+            ShardMsg::Frame(mut frame) => {
+                let t0 = metrics.as_ref().map(|_| monotonic_ns());
+                for e in &frame {
+                    // One shared-prefix partition's event feeds every unit
+                    // in its group.
+                    for u in engines.iter_mut() {
+                        if u.group == e.tenant {
+                            u.nic.handle(&e.event);
+                        }
+                    }
+                }
+                if let (Some(m), Some(t0)) = (&metrics, t0) {
+                    m.shard.record(monotonic_ns().saturating_sub(t0));
+                }
+                // Egress is timed only when a sink takes vectors.
+                let t1 = metrics
+                    .as_ref()
+                    .filter(|_| engines.iter().any(UnitEngine::has_sink))
+                    .map(|_| monotonic_ns());
+                for u in engines.iter_mut() {
+                    u.drain_packets();
+                }
+                if let (Some(m), Some(t1)) = (&metrics, t1) {
+                    m.sink.record(monotonic_ns().saturating_sub(t1));
+                }
+                frame.clear();
+                // Bounded recycling: hand the frame back if the ring has
+                // room, otherwise drop it.
+                let _ = recycle.try_send(frame);
+            }
+            ShardMsg::Attach {
+                unit,
+                group,
+                engine,
+                sink,
+            } => {
+                engines.push(UnitEngine {
+                    unit,
+                    group,
+                    nic: engine,
+                    members: vec![MemberEgress::new(unit, sink)],
+                    pkts_accum: Vec::new(),
+                    shard,
+                });
+            }
+            ShardMsg::Join { unit, member, sink } => {
+                if let Some(u) = engines.iter_mut().find(|u| u.unit == unit) {
+                    u.members.push(MemberEgress::new(member, sink));
+                }
+            }
+            ShardMsg::Detach { unit, ack } => {
+                if let Some(pos) = engines.iter().position(|u| u.unit == unit) {
+                    for piece in engines.remove(pos).finalize() {
+                        let _ = ack.send((shard, piece));
+                    }
+                }
+            }
+            ShardMsg::Snapshot {
+                unit,
+                member,
+                events,
+                ack,
+            } => {
+                if let Some(u) = engines.iter_mut().find(|u| u.unit == unit) {
+                    if let Some(piece) = u.snapshot_member(member, &events) {
+                        let _ = ack.send((shard, piece));
+                    }
+                }
+            }
+            ShardMsg::PrefixDetach { unit, events, ack } => {
+                if let Some(pos) = engines.iter().position(|u| u.unit == unit) {
+                    let mut u = engines.remove(pos);
+                    // The partition flush, then the usual end of stream.
+                    for e in &events {
+                        u.nic.handle(e);
+                    }
+                    for piece in u.finalize() {
+                        let _ = ack.send((shard, piece));
+                    }
+                }
+            }
+            ShardMsg::Dump { ack } => {
+                let states = engines
+                    .iter()
+                    .map(|u| {
+                        (
+                            u.unit,
+                            u.group,
+                            ShardUnitState {
+                                shard,
+                                engine: u.nic.clone(),
+                                member_seqs: u.members.iter().map(|m| (m.member, m.seq)).collect(),
+                                pkts_accum: u.pkts_accum.clone(),
+                            },
+                        )
+                    })
+                    .collect();
+                let _ = ack.send((shard, states));
+            }
+            ShardMsg::Restore {
+                unit,
+                engine,
+                seqs,
+                pkts_accum,
+                ack,
+            } => {
+                let ok = match engines.iter_mut().find(|u| u.unit == unit) {
+                    Some(u)
+                        if u.members.len() == seqs.len()
+                            && u.members
+                                .iter()
+                                .zip(&seqs)
+                                .all(|(m, (id, _))| m.member == *id) =>
+                    {
+                        u.nic = engine;
+                        for (m, (_, s)) in u.members.iter_mut().zip(&seqs) {
+                            m.seq = *s;
+                        }
+                        u.pkts_accum = pkts_accum;
+                        true
+                    }
+                    _ => false,
+                };
+                let _ = ack.send((shard, ok));
+            }
+            ShardMsg::Pressure { ack } => {
+                let pressures = engines
+                    .iter()
+                    .map(|u| UnitPressure {
+                        unit: u.unit,
+                        groups_per_level: u.nic.groups_per_level(),
+                        overflow_drops: u.nic.stats().overflow_drops,
+                        evicted_groups: u.nic.stats().evicted_groups,
+                    })
+                    .collect();
+                let _ = ack.send((shard, pressures));
+            }
+        }
+    }
+    // Ring closed: end of stream for every unit left.
+    engines.into_iter().flat_map(UnitEngine::finalize).collect()
+}
+
+/// Builds one engine per shard for a new unit.
+fn build_engines(
+    compiled: &CompiledPolicy,
+    fg_table_size: usize,
+    workers: usize,
+    budget: TableBudget,
+) -> Result<Vec<FeNic>, NicError> {
+    (0..workers)
+        .map(|_| {
+            FeNic::with_budget(compiled, fg_table_size, budget)
+                .ok_or_else(|| NicError::Engine("degenerate NIC group-table configuration".into()))
         })
+        .collect()
+}
+
+/// Validates and splits an optional per-shard sink list.
+fn split_sinks(
+    workers: usize,
+    sinks: Option<Vec<Box<dyn VectorSink>>>,
+) -> Result<Vec<Option<Box<dyn VectorSink>>>, NicError> {
+    match sinks {
+        Some(s) if s.len() != workers => Err(NicError::Engine(format!(
+            "sink count {} does not match worker count {workers}",
+            s.len()
+        ))),
+        Some(s) => Ok(s.into_iter().map(Some).collect()),
+        None => Ok((0..workers).map(|_| None).collect()),
     }
 }
 
@@ -353,9 +595,10 @@ struct UnitEntry {
     group: TenantId,
 }
 
-/// A multi-tenant streaming NIC executor sharing one worker pool.
+/// The streaming NIC executor: one CG-key-sharded worker pool shared by
+/// every attached execution unit.
 ///
-/// Constructed empty; units come and go via
+/// [`SharedStreamingNic::new`] starts it empty; units come and go via
 /// [`SharedStreamingNic::attach`] / [`SharedStreamingNic::detach`], and
 /// fused members via [`SharedStreamingNic::join`] /
 /// [`SharedStreamingNic::snapshot_detach`], while the event stream flows.
@@ -378,161 +621,77 @@ pub struct SharedStreamingNic {
 impl SharedStreamingNic {
     /// Spawns `workers` shard threads (clamped to ≥ 1) with no tenants.
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let workers = (0..workers)
-            .map(|shard| {
-                let (tx, mut rx) = ring::channel::<ShardMsg>(CHANNEL_DEPTH, DOORBELL_FRAMES);
+        Self::spawn((0..workers.max(1)).map(|_| Vec::new()).collect(), None)
+    }
+
+    /// Spawns a pool whose only unit, [`SOLO`], is resident on every shard
+    /// from the first event: the runtime behind
+    /// [`StreamingNic`](crate::stream::StreamingNic). Engines are built
+    /// before any thread starts, so configuration problems surface here.
+    ///
+    /// `model` gives the member an in-shard scorer; `metrics` records every
+    /// frame's ring dwell, shard processing time and sink egress time.
+    pub(crate) fn solo(
+        compiled: &CompiledPolicy,
+        fg_table_size: usize,
+        workers: usize,
+        budget: TableBudget,
+        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        model: Option<Arc<QuantizedDetector>>,
+        metrics: Option<Arc<StageMetrics>>,
+    ) -> Result<Self, NicError> {
+        let n = workers.max(1);
+        let sinks = split_sinks(n, sinks)?;
+        let engines = build_engines(compiled, fg_table_size, n, budget)?;
+        let initial = engines
+            .into_iter()
+            .zip(sinks)
+            .enumerate()
+            .map(|(shard, (nic, sink))| {
+                let mut member = MemberEgress::new(SOLO, sink);
+                member.scorer = model.clone().map(InlineInference::new);
+                vec![UnitEngine {
+                    unit: SOLO,
+                    group: SOLO,
+                    nic: Box::new(nic),
+                    members: vec![member],
+                    pkts_accum: Vec::new(),
+                    shard,
+                }]
+            })
+            .collect();
+        let mut plane = Self::spawn(initial, metrics);
+        plane.units.push(UnitEntry {
+            unit: SOLO,
+            group: SOLO,
+        });
+        plane.members.push(MemberEntry {
+            member: SOLO,
+            unit: SOLO,
+        });
+        plane.groups.push((SOLO, 0));
+        Ok(plane)
+    }
+
+    /// Spawns one shard thread per entry of `initial`, each starting with
+    /// those units resident.
+    fn spawn(initial: Vec<Vec<UnitEngine>>, metrics: Option<Arc<StageMetrics>>) -> Self {
+        let workers = initial
+            .into_iter()
+            .enumerate()
+            .map(|(shard, engines)| {
+                let (tx, rx) = ring::channel_with::<ShardMsg>(
+                    CHANNEL_DEPTH,
+                    DOORBELL_FRAMES,
+                    Arc::default(),
+                    metrics.as_ref().map(|m| m.queue.clone()),
+                );
                 // Recycle ring: the worker produces drained frames, the
                 // routing thread consumes them. try_send drops on full.
-                let (mut recycle, recycle_rx) = ring::channel::<Vec<TaggedEvent>>(RECYCLE_DEPTH, 1);
-                let join = std::thread::spawn(move || {
-                    let mut engines: Vec<UnitEngine> = Vec::new();
-                    while let Ok(msg) = rx.recv() {
-                        match msg {
-                            ShardMsg::Frame(mut frame) => {
-                                for e in &frame {
-                                    // One shared-prefix partition's event
-                                    // feeds every unit in its group.
-                                    for u in engines.iter_mut() {
-                                        if u.group == e.tenant {
-                                            u.nic.handle(&e.event);
-                                        }
-                                    }
-                                }
-                                for u in engines.iter_mut() {
-                                    u.drain_packets();
-                                }
-                                frame.clear();
-                                // Bounded recycling: hand the frame back if
-                                // the ring has room, otherwise drop it.
-                                let _ = recycle.try_send(frame);
-                            }
-                            ShardMsg::Attach {
-                                unit,
-                                group,
-                                engine,
-                                sink,
-                            } => {
-                                engines.push(UnitEngine {
-                                    unit,
-                                    group,
-                                    nic: engine,
-                                    members: vec![MemberEgress {
-                                        member: unit,
-                                        sink,
-                                        seq: 0,
-                                    }],
-                                    pkts_accum: Vec::new(),
-                                    shard,
-                                });
-                            }
-                            ShardMsg::Join { unit, member, sink } => {
-                                if let Some(u) = engines.iter_mut().find(|u| u.unit == unit) {
-                                    u.members.push(MemberEgress {
-                                        member,
-                                        sink,
-                                        seq: 0,
-                                    });
-                                }
-                            }
-                            ShardMsg::Detach { unit, ack } => {
-                                if let Some(pos) = engines.iter().position(|u| u.unit == unit) {
-                                    for piece in engines.remove(pos).finalize() {
-                                        let _ = ack.send((shard, piece));
-                                    }
-                                }
-                            }
-                            ShardMsg::Snapshot {
-                                unit,
-                                member,
-                                events,
-                                ack,
-                            } => {
-                                if let Some(u) = engines.iter_mut().find(|u| u.unit == unit) {
-                                    if let Some(piece) = u.snapshot_member(member, &events) {
-                                        let _ = ack.send((shard, piece));
-                                    }
-                                }
-                            }
-                            ShardMsg::PrefixDetach { unit, events, ack } => {
-                                if let Some(pos) = engines.iter().position(|u| u.unit == unit) {
-                                    let mut u = engines.remove(pos);
-                                    // Mirror the solo end-of-stream order:
-                                    // partition flush, packet drain, finish.
-                                    for e in &events {
-                                        u.nic.handle(e);
-                                    }
-                                    u.drain_packets();
-                                    for piece in u.finalize() {
-                                        let _ = ack.send((shard, piece));
-                                    }
-                                }
-                            }
-                            ShardMsg::Dump { ack } => {
-                                let states = engines
-                                    .iter()
-                                    .map(|u| {
-                                        (
-                                            u.unit,
-                                            u.group,
-                                            ShardUnitState {
-                                                shard,
-                                                engine: u.nic.clone(),
-                                                member_seqs: u
-                                                    .members
-                                                    .iter()
-                                                    .map(|m| (m.member, m.seq))
-                                                    .collect(),
-                                                pkts_accum: u.pkts_accum.clone(),
-                                            },
-                                        )
-                                    })
-                                    .collect();
-                                let _ = ack.send((shard, states));
-                            }
-                            ShardMsg::Restore {
-                                unit,
-                                engine,
-                                seqs,
-                                pkts_accum,
-                                ack,
-                            } => {
-                                let ok = match engines.iter_mut().find(|u| u.unit == unit) {
-                                    Some(u)
-                                        if u.members.len() == seqs.len()
-                                            && u.members
-                                                .iter()
-                                                .zip(&seqs)
-                                                .all(|(m, (id, _))| m.member == *id) =>
-                                    {
-                                        u.nic = engine;
-                                        for (m, (_, s)) in u.members.iter_mut().zip(&seqs) {
-                                            m.seq = *s;
-                                        }
-                                        u.pkts_accum = pkts_accum;
-                                        true
-                                    }
-                                    _ => false,
-                                };
-                                let _ = ack.send((shard, ok));
-                            }
-                            ShardMsg::Pressure { ack } => {
-                                let pressures = engines
-                                    .iter()
-                                    .map(|u| UnitPressure {
-                                        unit: u.unit,
-                                        groups_per_level: u.nic.groups_per_level(),
-                                        overflow_drops: u.nic.stats().overflow_drops,
-                                        evicted_groups: u.nic.stats().evicted_groups,
-                                    })
-                                    .collect();
-                                let _ = ack.send((shard, pressures));
-                            }
-                        }
-                    }
-                    // Channel closed: end of stream for everyone left.
-                    engines.into_iter().flat_map(UnitEngine::finalize).collect()
-                });
+                let (recycle, recycle_rx) = ring::channel::<Vec<TaggedEvent>>(RECYCLE_DEPTH, 1);
+                let metrics = metrics.clone();
+                let join =
+                    std::thread::spawn(move || run_shard(shard, rx, recycle, engines, metrics));
                 SharedWorker {
                     tx,
                     recycle: recycle_rx,
@@ -584,26 +743,6 @@ impl SharedStreamingNic {
             .map_or(0, |(_, n)| *n)
     }
 
-    /// Validates and splits an optional per-shard sink list.
-    fn split_sinks(
-        &self,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-    ) -> Result<Vec<Option<Box<dyn VectorSink>>>, NicError> {
-        let n = self.workers.len();
-        match sinks {
-            Some(s) => {
-                if s.len() != n {
-                    return Err(NicError::Engine(format!(
-                        "sink count {} does not match worker count {n}",
-                        s.len()
-                    )));
-                }
-                Ok(s.into_iter().map(Some).collect())
-            }
-            None => Ok((0..n).map(|_| None).collect()),
-        }
-    }
-
     /// Attaches `tenant` as a new unit (of which it is the first member)
     /// at the current epoch: all events pushed after this call are
     /// processed by its engines; nothing before is.
@@ -652,7 +791,7 @@ impl SharedStreamingNic {
         };
         if routed != 0 {
             return Err(NicError::Engine(format!(
-                "group {group} has already processed events; a late unit cannot                  share its prefix"
+                "group {group} has already processed events; a late unit cannot share its prefix"
             )));
         }
         self.attach_unit(group, tenant, compiled, fg_table_size, sinks)
@@ -675,15 +814,8 @@ impl SharedStreamingNic {
             )));
         }
         let n = self.workers.len();
-        let mut sinks = self.split_sinks(sinks)?;
-        let mut engines = Vec::with_capacity(n);
-        for _ in 0..n {
-            engines.push(Box::new(
-                FeNic::with_budget(compiled, fg_table_size, self.budget).ok_or_else(|| {
-                    NicError::Engine("degenerate NIC group-table configuration".into())
-                })?,
-            ));
-        }
+        let mut sinks = split_sinks(n, sinks)?;
+        let engines = build_engines(compiled, fg_table_size, n, self.budget)?;
         // Everything already queued belongs to the previous epoch: flush it
         // ahead of the markers so the attach point is a clean stream cut.
         self.flush_all()?;
@@ -696,7 +828,7 @@ impl SharedStreamingNic {
                 .send_now(ShardMsg::Attach {
                     unit: tenant,
                     group,
-                    engine,
+                    engine: Box::new(engine),
                     sink,
                 })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
@@ -740,7 +872,7 @@ impl SharedStreamingNic {
                 "tenant {member} is already attached"
             )));
         }
-        let mut sinks = self.split_sinks(sinks)?;
+        let mut sinks = split_sinks(self.workers.len(), sinks)?;
         self.flush_all()?;
         for (w, worker) in self.workers.iter_mut().enumerate() {
             let sink = sinks[w].take();
@@ -780,7 +912,7 @@ impl SharedStreamingNic {
             .any(|u| u.unit != unit && u.group == group)
         {
             return Err(NicError::Engine(format!(
-                "tenant {member} shares switch partition {group}; detach it                  with a prefix detach"
+                "tenant {member} shares switch partition {group}; detach it with a prefix detach"
             )));
         }
         self.flush_all()?;
@@ -822,7 +954,7 @@ impl SharedStreamingNic {
             .any(|u| u.unit != unit && u.group == group)
         {
             return Err(NicError::Engine(format!(
-                "tenant {member} is its partition's sole consumer; use a                  draining detach"
+                "tenant {member} is its partition's sole consumer; use a draining detach"
             )));
         }
         let mut per_shard = self.route_snapshot(group, events);
@@ -955,32 +1087,24 @@ impl SharedStreamingNic {
             by_shard[idx] = Some(s);
         }
         self.flush_all()?;
-        let (ack_tx, ack_rx) = channel();
-        for (w, slot) in by_shard.into_iter().enumerate() {
-            let s = slot.expect("all shard slots filled");
-            self.workers[w]
-                .tx
-                .send_now(ShardMsg::Restore {
-                    unit,
-                    engine: s.engine,
-                    seqs: s.member_seqs,
-                    pkts_accum: s.pkts_accum,
-                    ack: ack_tx.clone(),
-                })
-                .map_err(|_| NicError::WorkerLost { worker: w })?;
-        }
-        drop(ack_tx);
-        for i in 0..n {
-            let (shard, ok) = ack_rx
-                .recv()
-                .map_err(|_| NicError::WorkerLost { worker: i })?;
-            if !ok {
-                return Err(NicError::Engine(format!(
-                    "shard {shard} rejected the restore of unit {unit}:                      engine geometry or member roster mismatch"
-                )));
+        let mut states = by_shard.into_iter().flatten();
+        let acks = self.collect_acks(|ack| {
+            let s = states.next().expect("all shard slots filled");
+            ShardMsg::Restore {
+                unit,
+                engine: s.engine,
+                seqs: s.member_seqs,
+                pkts_accum: s.pkts_accum,
+                ack,
             }
+        })?;
+        match acks.into_iter().find(|(_, ok)| !ok) {
+            Some((shard, _)) => Err(NicError::Engine(format!(
+                "shard {shard} rejected the restore of unit {unit}: \
+                 engine geometry or member roster mismatch"
+            ))),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Reports every unit's live state occupancy — resident groups per
@@ -1003,14 +1127,7 @@ impl SharedStreamingNic {
         for (_, pieces) in acks {
             for p in pieces {
                 if let Some(m) = merged.iter_mut().find(|m| m.unit == p.unit) {
-                    if m.groups_per_level.is_empty() {
-                        m.groups_per_level = p.groups_per_level;
-                    } else {
-                        for (acc, (_, nn)) in m.groups_per_level.iter_mut().zip(p.groups_per_level)
-                        {
-                            acc.1 += nn;
-                        }
-                    }
+                    add_levels(&mut m.groups_per_level, p.groups_per_level);
                     m.overflow_drops += p.overflow_drops;
                     m.evicted_groups += p.evicted_groups;
                 }
@@ -1069,8 +1186,11 @@ impl SharedStreamingNic {
         Ok(pieces)
     }
 
-    /// Routes one tagged event: MGPV evictions to shard `hash % workers`
-    /// (identical to the solo executor), FG updates to every shard.
+    /// Routes one tagged event: MGPV evictions to shard `hash % workers`,
+    /// FG updates to every shard.
+    ///
+    /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
+    /// (backpressure). Fails only if a worker thread has died.
     pub fn push(&mut self, event: TaggedEvent) -> Result<(), NicError> {
         if let Some(entry) = self.groups.iter_mut().find(|(g, _)| *g == event.tenant) {
             entry.1 += 1;
@@ -1102,6 +1222,7 @@ impl SharedStreamingNic {
         Ok(())
     }
 
+    /// Drains one frame for worker `w` if it reached [`FRAME_SIZE`].
     fn flush_if_full(&mut self, w: usize) -> Result<(), NicError> {
         if self.workers[w].pending.len() >= FRAME_SIZE {
             self.flush_worker(w)?;
@@ -1109,6 +1230,10 @@ impl SharedStreamingNic {
         Ok(())
     }
 
+    /// Sends worker `w`'s pending frame, replacing it with a recycled one.
+    /// The ring doorbell batches publication: the worker is woken once per
+    /// [`DOORBELL_FRAMES`] frames, when the producer blocks on a full ring,
+    /// or when a control marker or the close follows.
     fn flush_worker(&mut self, w: usize) -> Result<(), NicError> {
         if self.workers[w].pending.is_empty() {
             return Ok(());
@@ -1128,6 +1253,7 @@ impl SharedStreamingNic {
         Ok(())
     }
 
+    /// A recycled frame if one is available, else a fresh allocation.
     fn take_spare(&mut self) -> Vec<TaggedEvent> {
         for w in &mut self.workers {
             while let Ok(f) = w.recycle.try_recv() {
@@ -1143,9 +1269,11 @@ impl SharedStreamingNic {
     /// remaining member's merged output in attach order.
     pub fn finish(mut self) -> Result<Vec<(TenantId, StreamOutput)>, NicError> {
         self.flush_all()?;
-        let order: Vec<TenantId> = self.members.iter().map(|m| m.member).collect();
-        let mut merged: Vec<(TenantId, StreamOutput)> =
-            order.iter().map(|&t| (t, empty_output())).collect();
+        let mut merged: Vec<(TenantId, StreamOutput)> = self
+            .members
+            .iter()
+            .map(|m| (m.member, StreamOutput::default()))
+            .collect();
         for (i, worker) in self.workers.into_iter().enumerate() {
             // Dropping the producer publishes any staged frames, closes the
             // ring, and wakes the worker; its loop drains and exits.
@@ -1164,20 +1292,8 @@ impl SharedStreamingNic {
     }
 }
 
-fn empty_output() -> StreamOutput {
-    StreamOutput {
-        group_vectors: Vec::new(),
-        packet_vectors: Vec::new(),
-        stats: NicStats::default(),
-        groups_per_level: Vec::new(),
-        evicted_vectors: Vec::new(),
-        inline_alerts: Vec::new(),
-        inline_stats: None,
-    }
-}
-
 fn merge_pieces(pieces: Vec<(usize, TenantPiece)>) -> StreamOutput {
-    let mut out = empty_output();
+    let mut out = StreamOutput::default();
     for (_, piece) in pieces {
         merge_piece(&mut out, piece);
     }
@@ -1189,11 +1305,24 @@ fn merge_piece(out: &mut StreamOutput, piece: TenantPiece) {
     out.packet_vectors.extend(piece.pkts);
     out.evicted_vectors.extend(piece.evicted);
     out.stats.absorb(&piece.stats);
-    if out.groups_per_level.is_empty() {
-        out.groups_per_level = piece.groups_per_level;
+    add_levels(&mut out.groups_per_level, piece.groups_per_level);
+    if let Some((alerts, stats)) = piece.inline {
+        out.inline_alerts.extend(alerts);
+        out.inline_stats
+            .get_or_insert_with(InlineStats::default)
+            .absorb(&stats);
+    }
+}
+
+/// Sums one shard's live groups per level into `acc`. Groups never span
+/// shards, so the sum is exact; every engine of a unit reports the same
+/// level list in policy order.
+fn add_levels(acc: &mut Vec<(Granularity, usize)>, shard: Vec<(Granularity, usize)>) {
+    if acc.is_empty() {
+        *acc = shard;
     } else {
-        for (acc, (_, n)) in out.groups_per_level.iter_mut().zip(piece.groups_per_level) {
-            acc.1 += n;
+        for (a, (_, n)) in acc.iter_mut().zip(shard) {
+            a.1 += n;
         }
     }
 }
@@ -1232,19 +1361,35 @@ mod tests {
         })
     }
 
-    fn solo_run(c: &CompiledPolicy, n: u64, workers: usize) -> StreamOutput {
+    /// Key-sorted copy (stable, so each key keeps its vector order): the
+    /// merge order of a sharded run depends on the worker count, the
+    /// per-key order does not.
+    fn sorted(v: &[FeatureVector]) -> Vec<FeatureVector> {
+        let mut v = v.to_vec();
+        v.sort_by_cached_key(|f| format!("{:?}", f.key));
+        v
+    }
+
+    /// The independent oracle: the policy alone on a sequential `FeSwitch`
+    /// + `FeNic`, vectors key-sorted.
+    fn solo_run(c: &CompiledPolicy, n: u64) -> StreamOutput {
         let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic = crate::stream::StreamingNic::new(c, 16_384, workers).unwrap();
+        let mut nic = FeNic::new(c, 16_384).unwrap();
         let mut frame = Vec::new();
         for p in packets(n) {
-            frame.clear();
             sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
         }
-        frame.clear();
         sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        nic.finish().unwrap()
+        for e in &frame {
+            nic.handle(e);
+        }
+        let groups = nic.finish();
+        StreamOutput {
+            group_vectors: sorted(&groups),
+            packet_vectors: sorted(&nic.take_packet_vectors()),
+            stats: *nic.stats(),
+            ..StreamOutput::default()
+        }
     }
 
     #[test]
@@ -1279,10 +1424,10 @@ mod tests {
             nic.push_all(frame.drain(..)).unwrap();
             let outs = nic.finish().unwrap();
             assert_eq!(outs.len(), 2);
-            let solo_a = solo_run(&a, 800, workers);
-            let solo_b = solo_run(&b, 800, workers);
-            assert_eq!(outs[0].1.group_vectors, solo_a.group_vectors);
-            assert_eq!(outs[1].1.group_vectors, solo_b.group_vectors);
+            let solo_a = solo_run(&a, 800);
+            let solo_b = solo_run(&b, 800);
+            assert_eq!(sorted(&outs[0].1.group_vectors), solo_a.group_vectors);
+            assert_eq!(sorted(&outs[1].1.group_vectors), solo_b.group_vectors);
             assert_eq!(outs[0].1.stats.records, solo_a.stats.records);
             assert_eq!(outs[1].1.stats.records, solo_b.stats.records);
         }
@@ -1328,8 +1473,8 @@ mod tests {
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, TenantId(0));
         // The survivor is bit-identical to its solo run.
-        let solo = solo_run(&a, 1000, 2);
-        assert_eq!(outs[0].1.group_vectors, solo.group_vectors);
+        let solo = solo_run(&a, 1000);
+        assert_eq!(sorted(&outs[0].1.group_vectors), solo.group_vectors);
     }
 
     #[test]
@@ -1358,10 +1503,11 @@ mod tests {
             nic.push_all(frame.drain(..)).unwrap();
             let outs = nic.finish().unwrap();
             assert_eq!(outs.len(), 3);
-            let solo = solo_run(&a, 800, workers);
+            let solo = solo_run(&a, 800);
             for (id, out) in &outs {
                 assert_eq!(
-                    out.group_vectors, solo.group_vectors,
+                    sorted(&out.group_vectors),
+                    solo.group_vectors,
                     "member {id} diverged at {workers} workers"
                 );
                 assert_eq!(out.stats.records, solo.stats.records);
@@ -1403,14 +1549,14 @@ mod tests {
         let outs = nic.finish().unwrap();
         // The departed member equals a solo run over its window; the
         // survivor equals a solo run over the whole trace.
-        let solo_half = solo_run(&a, 500, 2);
-        let solo_full = solo_run(&a, 1000, 2);
+        let solo_half = solo_run(&a, 500);
+        let solo_full = solo_run(&a, 1000);
         let gone = gone.unwrap();
-        assert_eq!(gone.group_vectors, solo_half.group_vectors);
-        assert_eq!(gone.packet_vectors, solo_half.packet_vectors);
+        assert_eq!(sorted(&gone.group_vectors), solo_half.group_vectors);
+        assert_eq!(sorted(&gone.packet_vectors), solo_half.packet_vectors);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, TenantId(0));
-        assert_eq!(outs[0].1.group_vectors, solo_full.group_vectors);
+        assert_eq!(sorted(&outs[0].1.group_vectors), solo_full.group_vectors);
     }
 
     #[test]
@@ -1478,10 +1624,10 @@ mod tests {
             nic.push_all(frame.drain(..)).unwrap();
             let outs = nic.finish().unwrap();
             assert_eq!(outs.len(), 2);
-            let solo_a = solo_run(&a, 800, workers);
-            let solo_b = solo_run(&b, 800, workers);
-            assert_eq!(outs[0].1.group_vectors, solo_a.group_vectors);
-            assert_eq!(outs[1].1.group_vectors, solo_b.group_vectors);
+            let solo_a = solo_run(&a, 800);
+            let solo_b = solo_run(&b, 800);
+            assert_eq!(sorted(&outs[0].1.group_vectors), solo_a.group_vectors);
+            assert_eq!(sorted(&outs[1].1.group_vectors), solo_b.group_vectors);
             assert_eq!(outs[0].1.stats.records, solo_a.stats.records);
             assert_eq!(outs[1].1.stats.records, solo_b.stats.records);
         }
@@ -1521,14 +1667,14 @@ mod tests {
         sw.flush_into(&mut frame);
         nic.push_all(frame.drain(..)).unwrap();
         let outs = nic.finish().unwrap();
-        let solo_half = solo_run(&b, 500, 2);
-        let solo_full = solo_run(&a, 1000, 2);
+        let solo_half = solo_run(&b, 500);
+        let solo_full = solo_run(&a, 1000);
         let gone = gone.unwrap();
-        assert_eq!(gone.group_vectors, solo_half.group_vectors);
-        assert_eq!(gone.packet_vectors, solo_half.packet_vectors);
+        assert_eq!(sorted(&gone.group_vectors), solo_half.group_vectors);
+        assert_eq!(sorted(&gone.packet_vectors), solo_half.packet_vectors);
         assert_eq!(outs.len(), 1);
         assert_eq!(outs[0].0, TenantId(0));
-        assert_eq!(outs[0].1.group_vectors, solo_full.group_vectors);
+        assert_eq!(sorted(&outs[0].1.group_vectors), solo_full.group_vectors);
     }
 
     #[test]
@@ -1555,7 +1701,12 @@ mod tests {
             .is_err());
         // A partition-sharing unit cannot take the draining detach path; a
         // partition's sole consumer cannot take the prefix path.
-        assert!(nic.detach(TenantId(1)).is_err());
+        assert_eq!(
+            nic.detach(TenantId(1)).unwrap_err(),
+            NicError::Engine(
+                "tenant t1 shares switch partition t0; detach it with a prefix detach".into()
+            )
+        );
         assert!(nic.prefix_detach(TenantId(1), Vec::new()).is_ok());
         assert!(nic.prefix_detach(TenantId(0), Vec::new()).is_err());
         // Once the group has routed events, late prefix shares are refused.

@@ -1,54 +1,32 @@
-//! Streaming multi-core NIC executor: CG-key-sharded workers fed over
-//! bounded SPSC frame rings.
+//! The single-policy streaming NIC executor: a
+//! [`SharedStreamingNic`] with one execution unit.
 //!
-//! The NFP's ingress NBI distributes packets to cores on a per-IP basis so
-//! cores never contend on group state (§6.2). This module is the software
-//! analogue as a *pipeline stage*: the producer (switch simulator) pushes
-//! events as they are emitted, the executor routes each one to the worker
-//! owning its CG-key shard, and workers compute features concurrently while
-//! the producer is still parsing packets — the full event stream is never
-//! materialized.
+//! [`StreamingNic`] runs one compiled policy over the switch's event
+//! stream. It is a front end, not a second worker pool: construction
+//! builds one engine per shard and spawns the crate's NIC runtime
+//! ([`crate::shared`]) with a single unit, `TenantId(0)`, resident from
+//! the first event; [`StreamingNic::push`] tags each
+//! [`SwitchEvent`] for that unit and [`StreamingNic::finish`] unwraps the
+//! unit's merged output. Sharding by CG key, the FG broadcast, bounded
+//! rings, frame recycling and the deterministic merge are the runtime's
+//! (see DESIGN.md "Threading model").
 //!
-//! Design invariants (see DESIGN.md "Threading model"):
-//!
-//! - **Shard-by-CG-key**: an [`SwitchEvent::Mgpv`] goes to worker
-//!   `hash % workers`. Every record of a group carries the same CG hash, so
-//!   a group's state lives on exactly one worker — no locks, no cross-worker
-//!   merges of partial group state.
-//! - **FG broadcast**: [`SwitchEvent::FgUpdate`]s are appended to *every*
-//!   worker's frame, in stream order relative to the Mgpv events around
-//!   them. Each worker therefore sees an ordered subsequence of the original
-//!   stream containing all FG updates plus its own Mgpv shard, which
-//!   preserves the switch's FgUpdate-before-reference ordering per worker.
-//! - **Bounded rings**: each worker is fed over a
-//!   [`superfe_net::ring`] SPSC ring holding at most [`CHANNEL_DEPTH`]
-//!   frames. A producer outrunning a worker blocks on `send` (backpressure)
-//!   instead of buffering unboundedly. The ring's doorbell publishes
-//!   [`DOORBELL_FRAMES`] frames per wakeup, so a worker is signalled once
-//!   per ~thousand events, not once per frame.
-//! - **Frame batching & bounded recycling**: events travel in
-//!   [`FRAME_SIZE`]-event frames to amortize synchronization; drained
-//!   frames return to the producer over a *bounded* per-worker recycle ring
-//!   ([`RECYCLE_DEPTH`] slots) with drop-on-full semantics, so steady-state
-//!   frame inventory is provably capped at
-//!   `workers × (CHANNEL_DEPTH + RECYCLE_DEPTH + 2)` frames.
-//! - **Deterministic merge**: workers are joined and their outputs
-//!   concatenated in shard order, making results independent of thread
-//!   scheduling.
+//! This module also holds the vocabulary both front ends share: the frame
+//! geometry, [`EgressVector`], [`VectorSink`] and [`StreamOutput`].
 
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use superfe_ml::QuantizedDetector;
-use superfe_net::metrics::{monotonic_ns, StageMetrics};
-use superfe_net::ring;
+use superfe_net::metrics::StageMetrics;
 use superfe_net::Granularity;
 use superfe_policy::CompiledPolicy;
+use superfe_switch::tenant::TaggedEvent;
 use superfe_switch::SwitchEvent;
 
-use crate::engine::{EvictedVector, FeNic, FeatureVector, NicStats};
+use crate::engine::{EvictedVector, FeatureVector, NicStats};
 use crate::error::NicError;
-use crate::inference::{InlineAlert, InlineInference, InlineStats};
+use crate::inference::{InlineAlert, InlineStats};
+use crate::shared::{SharedStreamingNic, SOLO};
 use crate::table::TableBudget;
 
 /// Events per channel frame (amortizes one synchronization over the frame).
@@ -101,20 +79,8 @@ pub trait VectorSink: Send {
     fn flush(&mut self) {}
 }
 
-/// What one worker shard produces.
-struct ShardOutput {
-    groups: Vec<FeatureVector>,
-    pkts: Vec<FeatureVector>,
-    evicted: Vec<EvictedVector>,
-    stats: NicStats,
-    groups_per_level: Vec<(Granularity, usize)>,
-    /// Alerts and counters of the in-pipeline inference stage, when one
-    /// was attached.
-    inline: Option<(Vec<InlineAlert>, InlineStats)>,
-}
-
 /// Merged output of a streaming run.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct StreamOutput {
     /// Per-group feature vectors, concatenated in shard order.
     pub group_vectors: Vec<FeatureVector>,
@@ -141,25 +107,14 @@ pub struct StreamOutput {
     pub inline_stats: Option<InlineStats>,
 }
 
-struct Worker {
-    tx: ring::Producer<Vec<SwitchEvent>>,
-    /// Consumer end of this worker's bounded frame recycle ring.
-    recycle: ring::Consumer<Vec<SwitchEvent>>,
-    join: JoinHandle<ShardOutput>,
-    /// Frame currently being filled for this worker.
-    pending: Vec<SwitchEvent>,
-}
-
-/// A streaming, CG-key-sharded multi-core NIC executor.
+/// A streaming, CG-key-sharded multi-core NIC executor for one policy.
 ///
 /// Construction spawns one thread per shard, each owning a private
-/// [`FeNic`]; [`StreamingNic::push`] routes events as they arrive and
-/// [`StreamingNic::finish`] flushes, joins, and merges deterministically.
+/// [`FeNic`](crate::FeNic); [`StreamingNic::push`] routes events as they
+/// arrive and [`StreamingNic::finish`] flushes, joins, and merges
+/// deterministically.
 pub struct StreamingNic {
-    workers: Vec<Worker>,
-    /// Locally stashed recycled frames ready for reuse (bounded: refilled
-    /// only from the fixed-capacity recycle rings).
-    spare: Vec<Vec<SwitchEvent>>,
+    plane: SharedStreamingNic,
 }
 
 impl StreamingNic {
@@ -172,15 +127,7 @@ impl StreamingNic {
         fg_table_size: usize,
         workers: usize,
     ) -> Result<Self, NicError> {
-        Self::build(
-            compiled,
-            fg_table_size,
-            workers,
-            None,
-            None,
-            TableBudget::default(),
-            None,
-        )
+        Self::with_budget(compiled, fg_table_size, workers, TableBudget::default())
     }
 
     /// Like [`StreamingNic::new`], but with an explicit per-level DRAM
@@ -192,7 +139,8 @@ impl StreamingNic {
         workers: usize,
         budget: TableBudget,
     ) -> Result<Self, NicError> {
-        Self::build(compiled, fg_table_size, workers, None, None, budget, None)
+        SharedStreamingNic::solo(compiled, fg_table_size, workers, budget, None, None, None)
+            .map(|plane| StreamingNic { plane })
     }
 
     /// Like [`StreamingNic::new`], but compiles a quantized detector into
@@ -209,15 +157,16 @@ impl StreamingNic {
         workers: usize,
         model: Arc<QuantizedDetector>,
     ) -> Result<Self, NicError> {
-        Self::build(
+        SharedStreamingNic::solo(
             compiled,
             fg_table_size,
             workers,
-            None,
-            None,
             TableBudget::default(),
+            None,
             Some(model),
+            None,
         )
+        .map(|plane| StreamingNic { plane })
     }
 
     /// Like [`StreamingNic::new`], but attaches one [`VectorSink`] per
@@ -252,162 +201,21 @@ impl StreamingNic {
         sinks: Option<Vec<Box<dyn VectorSink>>>,
         metrics: Option<Arc<StageMetrics>>,
     ) -> Result<Self, NicError> {
-        if let Some(sinks) = &sinks {
-            if sinks.len() != workers.max(1) {
-                return Err(NicError::Engine(format!(
-                    "sink count {} does not match worker count {}",
-                    sinks.len(),
-                    workers.max(1)
-                )));
-            }
-        }
-        Self::build(
+        SharedStreamingNic::solo(
             compiled,
             fg_table_size,
             workers,
-            sinks,
-            metrics,
             TableBudget::default(),
+            sinks,
             None,
+            metrics,
         )
-    }
-
-    fn build(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-        metrics: Option<Arc<StageMetrics>>,
-        budget: TableBudget,
-        inference: Option<Arc<QuantizedDetector>>,
-    ) -> Result<Self, NicError> {
-        let workers = workers.max(1);
-        let mut engines = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            engines.push(
-                FeNic::with_budget(compiled, fg_table_size, budget).ok_or_else(|| {
-                    NicError::Engine("degenerate NIC group-table configuration".into())
-                })?,
-            );
-        }
-        let mut sinks: Vec<Option<Box<dyn VectorSink>>> = match sinks {
-            Some(s) => s.into_iter().map(Some).collect(),
-            None => (0..workers).map(|_| None).collect(),
-        };
-        let workers = engines
-            .into_iter()
-            .enumerate()
-            .map(|(shard, mut nic)| {
-                let (tx, mut rx) = ring::channel_with::<Vec<SwitchEvent>>(
-                    CHANNEL_DEPTH,
-                    DOORBELL_FRAMES,
-                    Arc::default(),
-                    metrics.as_ref().map(|m| m.queue.clone()),
-                );
-                // Recycle ring: the worker produces drained frames, the
-                // routing thread consumes them. try_send drops on full.
-                let (mut recycle_tx, recycle_rx) =
-                    ring::channel::<Vec<SwitchEvent>>(RECYCLE_DEPTH, 1);
-                let mut sink = sinks[shard].take();
-                let mut infer = inference.clone().map(InlineInference::new);
-                let metrics = metrics.clone();
-                let join = std::thread::spawn(move || {
-                    let mut seq: u64 = 0;
-                    // Per-packet vectors scored in-pipeline without a sink
-                    // attached are buffered here instead of inside the
-                    // engine (they are drained per frame for scoring).
-                    let mut local_pkts: Vec<FeatureVector> = Vec::new();
-                    while let Ok(mut frame) = rx.recv() {
-                        let t0 = metrics.as_ref().map(|_| monotonic_ns());
-                        for e in &frame {
-                            nic.handle(e);
-                        }
-                        if let (Some(m), Some(t0)) = (&metrics, t0) {
-                            m.shard.record(monotonic_ns().saturating_sub(t0));
-                        }
-                        if sink.is_some() || infer.is_some() {
-                            // Drain this frame's per-packet vectors in
-                            // arrival order: score in-pipeline, then divert
-                            // to the sink (or buffer locally without one).
-                            let t1 = sink.as_ref().and(metrics.as_ref()).map(|_| monotonic_ns());
-                            for vector in nic.take_packet_vectors() {
-                                if let Some(inf) = infer.as_mut() {
-                                    inf.score(shard, seq, &vector);
-                                }
-                                match sink.as_mut() {
-                                    Some(sink) => {
-                                        sink.emit(EgressVector { shard, seq, vector });
-                                    }
-                                    None => local_pkts.push(vector),
-                                }
-                                seq += 1;
-                            }
-                            if let (Some(m), Some(t1)) = (&metrics, t1) {
-                                m.sink.record(monotonic_ns().saturating_sub(t1));
-                            }
-                        }
-                        frame.clear();
-                        // Bounded recycling: hand the frame back if the
-                        // recycle ring has room, otherwise drop (free) it.
-                        let _ = recycle_tx.try_send(frame);
-                    }
-                    let groups = nic.finish();
-                    let mut pkts = local_pkts;
-                    let stragglers = nic.take_packet_vectors();
-                    if let Some(inf) = infer.as_mut() {
-                        for vector in &stragglers {
-                            inf.score(shard, seq, vector);
-                            seq += 1;
-                        }
-                    }
-                    pkts.extend(stragglers);
-                    // Per-group vectors at end of stream: one seq counter
-                    // covers both the inference tags and the sink tags, so
-                    // the two streams agree on positions.
-                    for vector in &groups {
-                        if let Some(inf) = infer.as_mut() {
-                            inf.score(shard, seq, vector);
-                        }
-                        if let Some(sink) = sink.as_mut() {
-                            sink.emit(EgressVector {
-                                shard,
-                                seq,
-                                vector: vector.clone(),
-                            });
-                        }
-                        seq += 1;
-                    }
-                    if let Some(mut sink) = sink.take() {
-                        sink.flush();
-                        // Dropping the sink here (before the join) closes
-                        // any downstream channels it holds.
-                    }
-                    ShardOutput {
-                        groups,
-                        pkts,
-                        evicted: nic.take_evicted(),
-                        stats: *nic.stats(),
-                        groups_per_level: nic.groups_per_level(),
-                        inline: infer.map(InlineInference::into_parts),
-                    }
-                });
-                Worker {
-                    tx,
-                    recycle: recycle_rx,
-                    join,
-                    pending: Vec::with_capacity(FRAME_SIZE),
-                }
-            })
-            .collect();
-        Ok(StreamingNic {
-            workers,
-            spare: Vec::new(),
-        })
+        .map(|plane| StreamingNic { plane })
     }
 
     /// Number of shards.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.plane.workers()
     }
 
     /// Routes one event: Mgpv to its CG-key shard, FgUpdate to every shard.
@@ -415,20 +223,10 @@ impl StreamingNic {
     /// Blocks when the target worker is [`CHANNEL_DEPTH`] frames behind
     /// (backpressure). Fails only if a worker thread has died.
     pub fn push(&mut self, event: SwitchEvent) -> Result<(), NicError> {
-        match event {
-            SwitchEvent::FgUpdate(_) => {
-                for w in 0..self.workers.len() {
-                    self.workers[w].pending.push(event.clone());
-                    self.flush_if_full(w)?;
-                }
-                Ok(())
-            }
-            SwitchEvent::Mgpv(ref m) => {
-                let w = (m.hash as usize) % self.workers.len();
-                self.workers[w].pending.push(event);
-                self.flush_if_full(w)
-            }
-        }
+        self.plane.push(TaggedEvent {
+            tenant: SOLO,
+            event,
+        })
     }
 
     /// Routes a batch of events in order (a switch frame).
@@ -442,85 +240,14 @@ impl StreamingNic {
         Ok(())
     }
 
-    /// Drains one frame for worker `w` if it reached [`FRAME_SIZE`].
-    fn flush_if_full(&mut self, w: usize) -> Result<(), NicError> {
-        if self.workers[w].pending.len() >= FRAME_SIZE {
-            self.flush_worker(w)?;
-        }
-        Ok(())
-    }
-
-    /// Sends worker `w`'s pending frame, replacing it with a recycled one.
-    ///
-    /// The ring doorbell batches publication: the worker is woken once per
-    /// [`DOORBELL_FRAMES`] frames (or when the producer blocks on a full
-    /// ring, or at [`StreamingNic::finish`]), not once per frame.
-    fn flush_worker(&mut self, w: usize) -> Result<(), NicError> {
-        if self.workers[w].pending.is_empty() {
-            return Ok(());
-        }
-        let replacement = self.take_spare();
-        let frame = std::mem::replace(&mut self.workers[w].pending, replacement);
-        self.workers[w]
-            .tx
-            .send(frame)
-            .map_err(|_| NicError::WorkerLost { worker: w })
-    }
-
-    /// A recycled frame if one is available, else a fresh allocation.
-    fn take_spare(&mut self) -> Vec<SwitchEvent> {
-        for w in &mut self.workers {
-            while let Ok(f) = w.recycle.try_recv() {
-                self.spare.push(f);
-            }
-        }
-        self.spare
-            .pop()
-            .unwrap_or_else(|| Vec::with_capacity(FRAME_SIZE))
-    }
-
     /// Flushes remaining frames, closes the rings, joins every worker in
     /// shard order, and merges their outputs deterministically.
-    pub fn finish(mut self) -> Result<StreamOutput, NicError> {
-        for w in 0..self.workers.len() {
-            self.flush_worker(w)?;
-        }
-        let mut out = StreamOutput {
-            group_vectors: Vec::new(),
-            packet_vectors: Vec::new(),
-            stats: NicStats::default(),
-            groups_per_level: Vec::new(),
-            evicted_vectors: Vec::new(),
-            inline_alerts: Vec::new(),
-            inline_stats: None,
-        };
-        for (i, worker) in self.workers.into_iter().enumerate() {
-            // Dropping the producer publishes any staged frames, closes the
-            // ring, and wakes the worker; its loop drains and exits.
-            drop(worker.tx);
-            let shard = worker
-                .join
-                .join()
-                .map_err(|_| NicError::WorkerLost { worker: i })?;
-            out.group_vectors.extend(shard.groups);
-            out.packet_vectors.extend(shard.pkts);
-            out.evicted_vectors.extend(shard.evicted);
-            out.stats.absorb(&shard.stats);
-            if let Some((alerts, stats)) = shard.inline {
-                out.inline_alerts.extend(alerts);
-                out.inline_stats
-                    .get_or_insert_with(InlineStats::default)
-                    .absorb(&stats);
-            }
-            if out.groups_per_level.is_empty() {
-                out.groups_per_level = shard.groups_per_level;
-            } else {
-                // Every engine reports the same level list in policy order.
-                for (acc, (_, n)) in out.groups_per_level.iter_mut().zip(shard.groups_per_level) {
-                    acc.1 += n;
-                }
-            }
-        }
+    pub fn finish(self) -> Result<StreamOutput, NicError> {
+        let (_, out) = self
+            .plane
+            .finish()?
+            .pop()
+            .expect("the solo unit stays attached for the executor's lifetime");
         Ok(out)
     }
 }
@@ -565,6 +292,8 @@ mod tests {
         let par = run_streaming(&c, 2000, 8);
         assert_eq!(seq.stats.records, 2000);
         assert_eq!(par.stats.records, 2000);
+        // Shards partition the MGPV messages: each is handled exactly once.
+        assert_eq!(par.stats.msgs, seq.stats.msgs);
         assert_eq!(sorted(seq.group_vectors), sorted(par.group_vectors));
     }
 

@@ -1,10 +1,13 @@
 //! Keystone isolation differential for the multi-tenant control plane:
 //! for random tenant subsets, random traces, and every worker count, each
 //! tenant's feature vectors on the shared switch/NIC must be **bitwise
-//! identical** to the same policy running alone on its own
-//! [`superfe::StreamingPipeline`] — including under mid-stream hot attach
-//! and detach of *other* tenants. This is the executable form of the
-//! control plane's isolation contract: tenancy is invisible in the output.
+//! identical** to the same policy running alone on the sequential
+//! [`superfe::SuperFe`] — including under mid-stream hot attach and detach
+//! of *other* tenants. This is the executable form of the control plane's
+//! isolation contract: tenancy is invisible in the output. The oracle
+//! shares no code with the sharded runtime, so vectors are compared in
+//! stable key-sorted order: the merge order depends on the worker count,
+//! the order of each key's vectors does not.
 //!
 //! A second, deterministic differential extends the claim through the
 //! serving layer: a tenant's alert stream alongside a noisy neighbor must
@@ -14,8 +17,9 @@ use proptest::prelude::*;
 
 use superfe::ctrl::{CtrlPlane, TenantSpec};
 use superfe::net::{Direction, PacketRecord};
+use superfe::nic::FeatureVector;
 use superfe::policy::dsl;
-use superfe::{AnalyzeConfig, StreamingPipeline, SuperFeConfig};
+use superfe::{AnalyzeConfig, SuperFe, SuperFeConfig};
 
 /// Worker counts every property must hold for.
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -107,30 +111,34 @@ fn spec(pool_index: usize) -> TenantSpec {
     }
 }
 
-/// Runs each tenant's policy alone over its attach..detach window.
-fn solo_run(
+/// Key-sorted copy; the sort is stable, so each key keeps its vector order.
+fn sorted(v: &[FeatureVector]) -> Vec<FeatureVector> {
+    let mut v = v.to_vec();
+    v.sort_by_cached_key(|f| format!("{:?}", f.key));
+    v
+}
+
+/// Runs `spec` alone on the sequential pipeline over `l`'s attach..detach
+/// window: key-sorted (group vectors, packet vectors).
+fn sequential_run(
+    spec: &TenantSpec,
     l: &Lifecycle,
     pkts: &[PacketRecord],
-    workers: usize,
-) -> (
-    Vec<superfe::nic::FeatureVector>,
-    Vec<superfe::nic::FeatureVector>,
-) {
-    let s = spec(l.pool_index);
+) -> (Vec<FeatureVector>, Vec<FeatureVector>) {
     let lo = l.attach_pct as usize * pkts.len() / 100;
     let hi = l
         .detach_pct
         .map_or(pkts.len(), |d| d as usize * pkts.len() / 100);
-    let mut fe = StreamingPipeline::with_config(&s.policy, s.cfg, workers).expect("policy deploys");
+    let mut fe = SuperFe::with_config(&spec.policy, spec.cfg).expect("policy deploys");
     for p in &pkts[lo..hi] {
-        fe.push(p).expect("workers alive");
+        fe.push(p);
     }
-    let out = fe.finish().expect("workers alive");
-    (out.group_vectors, out.packet_vectors)
+    let out = fe.finish();
+    (sorted(&out.group_vectors), sorted(&out.packet_vectors))
 }
 
 /// Replays `tenants` against a fused control plane at every worker count
-/// and checks each tenant's vectors bitwise against its solo run.
+/// and checks each tenant's vectors bitwise against its sequential run.
 fn assert_bitwise_solo(
     tenants: &[Lifecycle],
     pkts: &[PacketRecord],
@@ -164,16 +172,16 @@ fn assert_bitwise_solo(
         }
         for (ti, l) in tenants.iter().enumerate() {
             let out = outputs[ti].as_ref().expect("every tenant ran");
-            let (solo_groups, solo_pkts) = solo_run(l, pkts, workers);
+            let (solo_groups, solo_pkts) = sequential_run(&spec(l.pool_index), l, pkts);
             prop_assert_eq!(
-                &out.group_vectors,
+                &sorted(&out.group_vectors),
                 &solo_groups,
                 "tenant {} group vectors diverged at {} workers",
                 ti,
                 workers
             );
             prop_assert_eq!(
-                &out.packet_vectors,
+                &sorted(&out.packet_vectors),
                 &solo_pkts,
                 "tenant {} packet vectors diverged at {} workers",
                 ti,
@@ -269,28 +277,6 @@ mod prefix_isolation {
         }
     }
 
-    fn prefix_solo_run(
-        l: &Lifecycle,
-        pkts: &[PacketRecord],
-        workers: usize,
-    ) -> (
-        Vec<superfe::nic::FeatureVector>,
-        Vec<superfe::nic::FeatureVector>,
-    ) {
-        let s = prefix_spec(l.pool_index);
-        let lo = l.attach_pct as usize * pkts.len() / 100;
-        let hi = l
-            .detach_pct
-            .map_or(pkts.len(), |d| d as usize * pkts.len() / 100);
-        let mut fe =
-            StreamingPipeline::with_config(&s.policy, s.cfg, workers).expect("policy deploys");
-        for p in &pkts[lo..hi] {
-            fe.push(p).expect("workers alive");
-        }
-        let out = fe.finish().expect("workers alive");
-        (out.group_vectors, out.packet_vectors)
-    }
-
     /// Like [`assert_bitwise_solo`] but over the prefix pool, so
     /// co-attached tenants land on one shared partition and mid-stream
     /// detaches of shared-prefix members exercise the prefix-detach
@@ -333,16 +319,16 @@ mod prefix_isolation {
             }
             for (ti, l) in tenants.iter().enumerate() {
                 let out = outputs[ti].as_ref().expect("every tenant ran");
-                let (solo_groups, solo_pkts) = prefix_solo_run(l, pkts, workers);
+                let (solo_groups, solo_pkts) = sequential_run(&prefix_spec(l.pool_index), l, pkts);
                 prop_assert_eq!(
-                    &out.group_vectors,
+                    &sorted(&out.group_vectors),
                     &solo_groups,
                     "tenant {} group vectors diverged at {} workers",
                     ti,
                     workers
                 );
                 prop_assert_eq!(
-                    &out.packet_vectors,
+                    &sorted(&out.packet_vectors),
                     &solo_pkts,
                     "tenant {} packet vectors diverged at {} workers",
                     ti,

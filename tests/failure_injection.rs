@@ -1,11 +1,19 @@
 //! Failure injection: the NIC engine must degrade gracefully — never panic,
 //! never fabricate features — when the switch event stream is damaged, and
-//! the switch must shrug off malformed frames.
+//! the switch must shrug off malformed frames. When a shard worker itself
+//! dies, the streaming runtime must report [`NicError::WorkerLost`] within
+//! a bounded time: never a hang, never a partial result.
+
+use std::sync::mpsc::{channel, RecvTimeoutError};
+use std::time::Duration;
 
 use superfe::net::{Direction, PacketRecord};
-use superfe::nic::FeNic;
+use superfe::nic::{EgressVector, FeNic, NicError, SharedStreamingNic, StreamingNic, VectorSink};
 use superfe::policy::{compile, dsl, CompiledPolicy};
-use superfe::switch::{FeSwitch, MgpvRecord, NicLoadBalancer, SwitchEvent};
+use superfe::switch::{
+    CacheMode, FeSwitch, MgpvConfig, MgpvRecord, NicLoadBalancer, SharedSwitch, SwitchEvent,
+    TenantId,
+};
 use superfe::trafficgen::Workload;
 
 fn multi_level_policy() -> CompiledPolicy {
@@ -190,4 +198,139 @@ fn load_balanced_nics_match_single_nic() {
     expected.sort_by_key(key);
     merged.sort_by_key(key);
     assert_eq!(expected, merged);
+}
+
+/// How long a run that lost a worker may take to report it.
+const WORKER_LOSS_DEADLINE: Duration = Duration::from_secs(10);
+
+/// A sink whose first vector kills the shard worker that owns it.
+struct PanickingSink;
+
+impl VectorSink for PanickingSink {
+    fn emit(&mut self, _: EgressVector) {
+        panic!("injected sink fault");
+    }
+}
+
+/// A sink that drops every vector.
+struct QuietSink;
+
+impl VectorSink for QuietSink {
+    fn emit(&mut self, _: EgressVector) {}
+}
+
+/// Runs `scenario` on its own thread while the test thread watches it as a
+/// watchdog: the scenario's result must arrive within
+/// [`WORKER_LOSS_DEADLINE`].
+fn within_deadline<T: Send + 'static>(scenario: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    let scenario = std::thread::spawn(move || {
+        let _ = tx.send(scenario());
+    });
+    match rx.recv_timeout(WORKER_LOSS_DEADLINE) {
+        Ok(result) => {
+            scenario
+                .join()
+                .expect("the scenario finished after its result");
+            result
+        }
+        Err(RecvTimeoutError::Timeout) => {
+            panic!("no result within {WORKER_LOSS_DEADLINE:?}: the runtime hung on a lost worker")
+        }
+        Err(RecvTimeoutError::Disconnected) => panic!("the scenario itself panicked"),
+    }
+}
+
+fn host_sum_policy(collect: &str) -> CompiledPolicy {
+    let src = format!("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect({collect})");
+    compile(&dsl::parse(&src).expect("parses")).expect("compiles")
+}
+
+/// A sink that panics on shard 0 kills that worker. Whether the panic hits
+/// mid-stream (per-packet vectors egress per frame) or at end of stream
+/// (group vectors egress on finish), every failed push and the final
+/// `finish` report the lost worker.
+#[test]
+fn panicking_sink_makes_streaming_finish_report_worker_lost() {
+    for collect in ["host", "pkt"] {
+        let c = host_sum_policy(collect);
+        let events = events_for(&c, 2_000);
+        let (push_errors, finished) = within_deadline(move || {
+            let sinks: Vec<Box<dyn VectorSink>> =
+                vec![Box::new(PanickingSink), Box::new(QuietSink)];
+            let mut nic = StreamingNic::with_sinks(&c, 16_384, 2, sinks).expect("executor starts");
+            let push_errors: Vec<NicError> = events
+                .into_iter()
+                .filter_map(|e| nic.push(e).err())
+                .collect();
+            (push_errors, nic.finish())
+        });
+        assert!(
+            push_errors
+                .iter()
+                .all(|e| matches!(e, NicError::WorkerLost { .. })),
+            "collect({collect}): unexpected push errors {push_errors:?}"
+        );
+        match finished {
+            Err(NicError::WorkerLost { .. }) => {}
+            Err(e) => panic!("collect({collect}): finish failed with {e}, not a lost worker"),
+            Ok(out) => panic!(
+                "collect({collect}): finish returned a partial Ok with {} group vectors",
+                out.group_vectors.len()
+            ),
+        }
+    }
+}
+
+/// A tenant whose sink panics on every shard loses its workers at the
+/// detach handshake: its `detach` returns `WorkerLost` instead of waiting
+/// for acks that never come, and the plane's `finish` then reports the loss
+/// too rather than handing its co-tenant a partial output.
+#[test]
+fn panicking_sink_makes_tenant_detach_report_worker_lost() {
+    let (detached, finished) = within_deadline(|| {
+        let quiet = host_sum_policy("host");
+        let faulty = compile(
+            &dsl::parse(
+                "pktstream\n.filter(tcp.exist)\n.groupby(flow)\n.reduce(size, [f_max])\n\
+                 .collect(flow)",
+            )
+            .expect("parses"),
+        )
+        .expect("compiles");
+        let mut sw = SharedSwitch::new();
+        for (id, c) in [(TenantId(0), &quiet), (TenantId(1), &faulty)] {
+            sw.attach(id, c.switch.clone(), MgpvConfig::default(), CacheMode::Mgpv);
+        }
+        let mut nic = SharedStreamingNic::new(2);
+        nic.attach(TenantId(0), &quiet, 16_384, None)
+            .expect("attaches");
+        let sinks: Vec<Box<dyn VectorSink>> =
+            vec![Box::new(PanickingSink), Box::new(PanickingSink)];
+        nic.attach(TenantId(1), &faulty, 16_384, Some(sinks))
+            .expect("attaches");
+        let mut frame = Vec::new();
+        for i in 0..1_000u32 {
+            let p = PacketRecord::tcp(u64::from(i) * 1_000, 100, i % 23 + 1, 1000, 2, 80);
+            sw.process_into(&p, &mut frame);
+            nic.push_all(frame.drain(..))
+                .expect("no vector has egressed yet");
+        }
+        sw.detach_into(TenantId(1), &mut frame);
+        nic.push_all(frame.drain(..))
+            .expect("no vector has egressed yet");
+        let detached = nic.detach(TenantId(1));
+        (
+            detached.map(|out| out.group_vectors.len()),
+            nic.finish().map(|outs| outs.len()),
+        )
+    });
+    assert!(
+        matches!(detached, Err(NicError::WorkerLost { .. })),
+        "detach of the faulty tenant returned {detached:?}"
+    );
+    assert!(
+        matches!(finished, Err(NicError::WorkerLost { .. })),
+        "finish after losing workers returned {finished:?}"
+    );
 }
