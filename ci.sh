@@ -41,8 +41,8 @@ step "differentials in release (overflow checks off)"
 # overflow. Run once in that configuration: the MGPV aging probe's
 # tree-vs-per-slot-sweep proptest (mgpv unit tests) and the MGPV properties,
 # which cover its plain index arithmetic; and the differentials over the NIC
-# streaming runtime — single-policy, multi-tenant, in-shard quantized
-# scoring and snapshot/restore.
+# streaming runtime — single-policy, multi-tenant, in-shard float and
+# quantized scoring and snapshot/restore.
 cargo test -q --release -p superfe-switch --lib mgpv
 cargo test -q --release --test mgpv_properties --test streaming_differential \
   --test ctrl_isolation --test detect_differential --test plane_snapshot
@@ -93,16 +93,24 @@ for key in flat_expected warmup_runs elapsed_ms_stddev elapsed_ms_p99 \
 done
 
 step "online detection smoke (seeded train/calibrate/serve, in-pipeline)"
-# A seeded end-to-end detect run must raise at least one alert inside the
-# attack window and stay quiet on the benign warm-up (the calibrated
-# threshold guarantees the latter by construction), and the fresh document
-# must match the checked-in BENCH_detect.json schema.
+# A seeded end-to-end detect run (the detector scores inside the NIC
+# shards) must raise at least one alert inside the attack window and stay
+# quiet on the benign warm-up (the calibrated threshold guarantees the
+# latter by construction), and the fresh document must match the
+# checked-in BENCH_detect.json schema.
 cargo build -q --release -p superfe-cli
 # Default configuration (+ --in-pipeline) = the one that generated the
-# checked-in artifact, so the deterministic detection section is fully
-# reproduced here (the harness's warmup + repeated measured runs keep this
-# a few seconds).
+# checked-in artifact, so the deterministic detection section must be
+# reproduced byte for byte (the harness's warmup + repeated measured runs
+# keep this a few seconds).
 target/release/superfe detect --in-pipeline --out "$detect_smoke" >/dev/null
+section() { sed -n "/^  \"$2\": {/,/^  }/p" "$1"; }
+[[ -n "$(section BENCH_detect.json detection)" ]] \
+  || { echo "ci: BENCH_detect.json is missing the detection section"; exit 1; }
+if ! diff <(section BENCH_detect.json detection) <(section "$detect_smoke" detection); then
+  echo "ci: the detection section diverged from the checked-in BENCH_detect.json"
+  exit 1
+fi
 field() { grep -o "\"$2\": [0-9]*" "$1" | head -1 | grep -o '[0-9]*$'; }
 on_attack=$(field "$detect_smoke" alerts_on_attack)
 on_benign=$(field "$detect_smoke" alerts_on_benign)

@@ -1,31 +1,41 @@
-//! Online detection serving: the `BENCH_detect.json` artifact.
+//! Online detection: the `BENCH_detect.json` artifact.
 //!
 //! Trains a detector on a benign intrusion-scenario trace through the
 //! `Training → Calibrating → Serving` lifecycle, then serves a labelled
-//! attack trace through [`superfe_detect::DetectPipeline`] and reports:
+//! attack trace with the frozen detector scoring inside the NIC shards
+//! ([`StreamingPipeline::with_inference`]) and reports:
 //!
 //! - **detection** (deterministic for a given seed — byte-identical
-//!   run-to-run, asserted in tests): calibrated threshold, alert counts
-//!   split by ground-truth label, precision/recall/F1/AUC;
-//! - **throughput** (timing-dependent): packets/second with and without
-//!   inference attached — measured through the [`crate::harness`]
-//!   warmup-then-measure protocol with run-to-run statistics — and
-//!   scoring-latency percentiles.
+//!   run-to-run, asserted in tests): calibrated threshold, the in-shard
+//!   scorer's scored/alert counts, alerts split by ground-truth label,
+//!   precision/recall/F1/AUC;
+//! - **throughput** (timing-dependent): packets/second of extraction alone
+//!   and with the float detector scoring in-shard — measured through the
+//!   [`crate::harness`] warmup-then-measure protocol with run-to-run
+//!   statistics;
+//! - **in_pipeline** (with `in_pipeline`): the same for the SF09xx-certified
+//!   fixed-point lowering of the detector.
+//!
+//! Label-split and ranking figures need a score for every vector, not just
+//! for the alerts that leave the pipeline: they come from offline scoring
+//! of the run's own vectors with the same model, which reproduces the
+//! in-shard scores bitwise (`tests/detect_differential.rs`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use superfe_core::{StreamingPipeline, SuperFe, SuperFeConfig};
+use superfe_core::{Extraction, StreamingPipeline, SuperFe, SuperFeConfig};
 use superfe_detect::{
-    max_score_delta, score_offline_quantized, DetectPipeline, DetectorKind, QuantizedSection,
-    ServeConfig,
+    max_score_delta, score_offline, score_offline_quantized, DetectorKind, QuantizedSection,
+    ScoredVector,
 };
 use superfe_ml::{auc, train_and_calibrate, CalibrationConfig, Confusion, FrozenDetector};
 use superfe_net::{Granularity, GroupKey};
 use superfe_policy::analyze::quant::{certify, QuantCheckConfig};
+use superfe_policy::PolicyError;
 use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 
-use crate::harness::{self, host_json, HarnessConfig, RunStats};
+use crate::harness::{self, host_json, HarnessConfig, Measurement, RunStats};
 
 /// The policy under measurement: Kitsune's 115-dimensional per-packet
 /// feature vector over three granularities.
@@ -47,16 +57,15 @@ pub struct DetectConfig {
     /// Base RNG seed: the training trace uses `seed`, the served trace
     /// `seed + 1`, and the detector (KitNET init / CART background) `seed`.
     pub seed: u64,
-    /// NIC shard and inference worker count.
+    /// NIC shard count.
     pub workers: usize,
     /// Calibration quantile (see [`CalibrationConfig`]).
     pub quantile: f64,
     /// Calibration margin (see [`CalibrationConfig`]).
     pub margin: f64,
     /// Also measure the in-pipeline quantized path: certify the detector's
-    /// fixed-point lowering (SF09xx), serve the same trace through
-    /// [`StreamingPipeline::with_inference`], and report the in-pipeline
-    /// cost next to the host-inference tax.
+    /// fixed-point lowering (SF09xx), serve the same trace with it scoring
+    /// in-shard, and report its cost next to the float scorer's.
     pub in_pipeline: bool,
 }
 
@@ -97,11 +106,11 @@ pub struct DetectionSummary {
     pub calibration_vectors: usize,
     /// The calibrated alert threshold.
     pub threshold: f64,
-    /// Vectors scored by the serving executor.
+    /// Vectors scored by the in-shard float scorer.
     pub scored: u64,
     /// Scored vectors matched to a ground-truth label.
     pub matched: usize,
-    /// Total alerts.
+    /// Alerts the in-shard float scorer raised.
     pub alerts: u64,
     /// Alerts whose vector is labelled attack (true positives).
     pub alerts_on_attack: usize,
@@ -125,18 +134,15 @@ pub struct ThroughputSummary {
     pub packets: usize,
     /// Streaming extraction alone, packets/second (mean run).
     pub extract_pkts_per_sec: f64,
-    /// Extraction with inference attached, packets/second (mean run).
+    /// Extraction with the float detector scoring in-shard,
+    /// packets/second (mean run).
     pub detect_pkts_per_sec: f64,
     /// Extraction-only wall-clock statistics, milliseconds.
     pub extract_elapsed_ms: RunStats,
-    /// Extraction-plus-inference wall-clock statistics, milliseconds.
+    /// Extraction-plus-scoring wall-clock statistics, milliseconds.
     pub detect_elapsed_ms: RunStats,
-    /// Relative slowdown of attaching inference, percent.
+    /// Relative slowdown of attaching the scorer, percent.
     pub inference_overhead_pct: f64,
-    /// Median per-vector scoring latency, nanoseconds.
-    pub score_p50_ns: f64,
-    /// 99th-percentile per-vector scoring latency, nanoseconds.
-    pub score_p99_ns: f64,
 }
 
 /// The in-pipeline half of the measurement: the SF09xx certificate, the
@@ -243,40 +249,21 @@ pub fn measure_with(cfg: &DetectConfig, hcfg: &HarnessConfig) -> Result<DetectBe
     });
     let packets = serve_set.labelled.len();
 
-    // Baseline: streaming extraction with no detector attached. Deployment
-    // errors surface once from the pre-flight build; per-run rebuilds
-    // inside the harness then cannot fail differently (same inputs).
-    StreamingPipeline::from_dsl(POLICY, cfg.workers).map_err(|e| e.to_string())?;
-    let extract = harness::measure(hcfg, |_| {
-        let mut fe = StreamingPipeline::from_dsl(POLICY, cfg.workers).expect("pre-flight deployed");
-        for (p, _) in &serve_set.labelled {
-            fe.push(p).expect("workers alive");
-        }
-        fe.finish().expect("workers alive");
-    });
-
-    // Online serving with inference attached. The detection report is
-    // deterministic per seed, so summarizing the last measured run's report
-    // is summarizing every run's.
-    let serve_cfg = ServeConfig {
-        workers: cfg.workers,
-        record_scores: true,
-        scenario: cfg.scenario.name().to_string(),
-        ..ServeConfig::default()
-    };
-    DetectPipeline::from_dsl(POLICY, cfg.workers, &frozen, &serve_cfg)
-        .map_err(|e| e.to_string())?;
-    let mut last_report = None;
-    let detect = harness::measure(hcfg, |_| {
-        let mut dp = DetectPipeline::from_dsl(POLICY, cfg.workers, &frozen, &serve_cfg)
-            .expect("pre-flight deployed");
-        for (p, _) in &serve_set.labelled {
-            dp.push(p).expect("workers alive");
-        }
-        let (_, report) = dp.finish().expect("workers alive");
-        last_report = Some(report);
-    });
-    let report = last_report.expect("at least one measured run");
+    // Baseline: streaming extraction with no detector attached; then the
+    // frozen detector scoring in-shard.
+    let policy = superfe_policy::dsl::parse(POLICY).map_err(|e| e.to_string())?;
+    let (extract, _) = serve_runs(hcfg, &serve_set.labelled, || {
+        StreamingPipeline::with_config(&policy, SuperFeConfig::default(), cfg.workers)
+    })?;
+    let (detect, ex) = serve_runs(hcfg, &serve_set.labelled, || {
+        StreamingPipeline::with_inference(
+            &policy,
+            SuperFeConfig::default(),
+            cfg.workers,
+            frozen.clone(),
+        )
+    })?;
+    let stats = ex.inline_stats.unwrap_or_default();
 
     // --- Match scores to ground truth by (socket key, occurrence). ---
     let mut occurrence: HashMap<GroupKey, usize> = HashMap::new();
@@ -287,26 +274,15 @@ pub fn measure_with(cfg: &DetectConfig, hcfg: &HarnessConfig) -> Result<DetectBe
         label_of.insert((k, *n), *l);
         *n += 1;
     }
-    let scores = report.scores.as_ref().expect("record_scores was requested");
-    let mut occ2: HashMap<GroupKey, usize> = HashMap::new();
-    let scored_pairs: Vec<(f64, bool)> = scores
-        .iter()
-        .filter_map(|s| {
-            let n = occ2.entry(s.key).or_insert(0);
-            let key = (s.key, *n);
-            *n += 1;
-            label_of.get(&key).map(|&l| (s.score, l))
-        })
-        .collect();
+    let off = score_offline(
+        &frozen,
+        &ex.packet_vectors,
+        &ex.group_vectors,
+        cfg.scenario.name(),
+    );
+    let scored_pairs = labelled_scores(&off.scores, &label_of);
     let threshold = frozen.threshold();
-    let alerts_on_attack = scored_pairs
-        .iter()
-        .filter(|&&(s, l)| l && s > threshold)
-        .count();
-    let alerts_on_benign = scored_pairs
-        .iter()
-        .filter(|&&(s, l)| !l && s > threshold)
-        .count();
+    let (alerts_on_attack, alerts_on_benign) = split_alerts(&scored_pairs, threshold);
     let conf = Confusion::from_pairs(scored_pairs.iter().map(|&(s, l)| (s > threshold, l)));
     let roc = auc(&scored_pairs);
 
@@ -332,9 +308,9 @@ pub fn measure_with(cfg: &DetectConfig, hcfg: &HarnessConfig) -> Result<DetectBe
             train_vectors: refs.len() - calibration_vectors,
             calibration_vectors,
             threshold,
-            scored: report.totals.scored,
+            scored: stats.scored,
             matched: scored_pairs.len(),
-            alerts: report.totals.alerts,
+            alerts: stats.alerts,
             alerts_on_attack,
             alerts_on_benign,
             precision: conf.precision(),
@@ -349,11 +325,60 @@ pub fn measure_with(cfg: &DetectConfig, hcfg: &HarnessConfig) -> Result<DetectBe
             extract_elapsed_ms: extract.elapsed_ms(),
             detect_elapsed_ms: detect.elapsed_ms(),
             inference_overhead_pct: (extract_pps / detect_pps - 1.0) * 100.0,
-            score_p50_ns: report.latency_hist.percentile(0.5).unwrap_or(0.0),
-            score_p99_ns: report.latency_hist.percentile(0.99).unwrap_or(0.0),
         },
         in_pipeline,
     })
+}
+
+/// Serves `labelled` through pipelines built by `deploy` under the harness
+/// protocol. Deployment errors surface once, from a pre-flight build; the
+/// per-run rebuilds then cannot fail differently (same inputs). Returns the
+/// timing and the last run's extraction — deterministic per seed, so
+/// summarizing it is summarizing every run's.
+fn serve_runs(
+    hcfg: &HarnessConfig,
+    labelled: &[(superfe_net::PacketRecord, bool)],
+    deploy: impl Fn() -> Result<StreamingPipeline, PolicyError>,
+) -> Result<(Measurement, Extraction), String> {
+    deploy().map_err(|e| e.to_string())?;
+    let mut last = None;
+    let run = harness::measure(hcfg, |_| {
+        let mut fe = deploy().expect("pre-flight deployed");
+        for (p, _) in labelled {
+            fe.push(p).expect("workers alive");
+        }
+        last = Some(fe.finish().expect("workers alive"));
+    });
+    Ok((run, last.expect("at least one measured run")))
+}
+
+/// Pairs each canonically ordered score with its ground-truth label, by
+/// (key, per-key occurrence); unlabelled vectors are skipped.
+fn labelled_scores(
+    scores: &[ScoredVector],
+    label_of: &HashMap<(GroupKey, usize), bool>,
+) -> Vec<(f64, bool)> {
+    let mut occ: HashMap<GroupKey, usize> = HashMap::new();
+    scores
+        .iter()
+        .filter_map(|s| {
+            let n = occ.entry(s.key).or_insert(0);
+            let key = (s.key, *n);
+            *n += 1;
+            label_of.get(&key).map(|&l| (s.score, l))
+        })
+        .collect()
+}
+
+/// Alerts (`score > threshold`) on attack- and benign-labelled vectors.
+fn split_alerts(pairs: &[(f64, bool)], threshold: f64) -> (usize, usize) {
+    let on = |label: bool| {
+        pairs
+            .iter()
+            .filter(|&&(s, l)| l == label && s > threshold)
+            .count()
+    };
+    (on(true), on(false))
 }
 
 /// Certifies the fixed-point lowering, serves the trace through the
@@ -376,29 +401,14 @@ fn measure_in_pipeline(
     };
     let model = Arc::new(model);
 
-    // Pre-flight once (deployment errors surface here), then measure.
-    StreamingPipeline::with_inference(
-        &policy,
-        SuperFeConfig::default(),
-        cfg.workers,
-        model.clone(),
-    )
-    .map_err(|e| e.to_string())?;
-    let mut last = None;
-    let run = harness::measure(hcfg, |_| {
-        let mut fe = StreamingPipeline::with_inference(
+    let (run, ex) = serve_runs(hcfg, labelled, || {
+        StreamingPipeline::with_inference(
             &policy,
             SuperFeConfig::default(),
             cfg.workers,
             model.clone(),
         )
-        .expect("pre-flight deployed");
-        for (p, _) in labelled {
-            fe.push(p).expect("workers alive");
-        }
-        last = Some(fe.finish().expect("workers alive"));
-    });
-    let ex = last.expect("at least one measured run");
+    })?;
     let stats = ex.inline_stats.unwrap_or_default();
 
     // Reference-score the extraction's own vectors with the same quantized
@@ -410,25 +420,8 @@ fn measure_in_pipeline(
         &ex.group_vectors,
         cfg.scenario.name(),
     );
-    let mut occ: HashMap<GroupKey, usize> = HashMap::new();
-    let mut matched = 0usize;
-    let mut alerts_on_attack = 0usize;
-    let mut alerts_on_benign = 0usize;
-    for s in &off.scores {
-        let n = occ.entry(s.key).or_insert(0);
-        let key = (s.key, *n);
-        *n += 1;
-        if let Some(&label) = label_of.get(&key) {
-            matched += 1;
-            if model.is_alert(s.score) {
-                if label {
-                    alerts_on_attack += 1;
-                } else {
-                    alerts_on_benign += 1;
-                }
-            }
-        }
-    }
+    let pairs = labelled_scores(&off.scores, label_of);
+    let (alerts_on_attack, alerts_on_benign) = split_alerts(&pairs, model.threshold());
     let delta = max_score_delta(
         frozen,
         &model,
@@ -452,7 +445,7 @@ fn measure_in_pipeline(
         pkts_per_sec: pps,
         elapsed_ms: run.elapsed_ms(),
         vs_extract_ratio: pps / extract_pps,
-        matched,
+        matched: pairs.len(),
         alerts_on_attack,
         alerts_on_benign,
     })
@@ -533,11 +526,9 @@ impl DetectBench {
             t.extract_elapsed_ms.to_json_fields("extract_elapsed_ms")
         ));
         out.push_str(&format!(
-            "    {},\n",
+            "    {}\n",
             t.detect_elapsed_ms.to_json_fields("detect_elapsed_ms")
         ));
-        out.push_str(&format!("    \"score_p50_ns\": {:.0},\n", t.score_p50_ns));
-        out.push_str(&format!("    \"score_p99_ns\": {:.0}\n", t.score_p99_ns));
         out.push_str("  }");
         if let Some(ip) = &self.in_pipeline {
             out.push_str(",\n");

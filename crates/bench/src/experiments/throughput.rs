@@ -92,7 +92,6 @@ pub fn measure_with(
                     &policy,
                     SuperFeConfig::default(),
                     w,
-                    None,
                     Some(metrics.clone()),
                 )
                 .expect("policy deploys");

@@ -17,7 +17,8 @@
 //!   difference between a trustworthy speedup and noise.
 //! - **Per-stage histograms**: workloads that thread the provided
 //!   [`StageMetrics`] into their pipeline (queue dwell → shard processing →
-//!   sink egress) get the merged distribution across all measured runs in
+//!   in-shard scoring, reported as `sink`) get the merged distribution
+//!   across all measured runs in
 //!   [`Measurement::stages`].
 //!
 //! JSON emission helpers ([`RunStats::to_json`],

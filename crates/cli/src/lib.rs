@@ -889,7 +889,7 @@ pub fn usage() -> String {
      \x20 --serve-benign N                   served-trace benign packets   [3000]\n\
      \x20 --attack N                         served-trace attack packets   [1500]\n\
      \x20 --seed S                           RNG seed              [1]\n\
-     \x20 --workers N                        NIC shards = inference workers [2]\n\
+     \x20 --workers N                        NIC shards; detectors score in-shard [2]\n\
      \x20 --quantile Q                       calibration quantile  [1.0]\n\
      \x20 --margin M                         calibration margin    [1.1]\n\
      \x20 --in-pipeline                      also run the SF09xx-certified\n\
@@ -1331,7 +1331,7 @@ fn serve(
         // deterministically and replayed from the saved packet position.
         let bytes =
             std::fs::read(path).map_err(|e| err(format!("reading snapshot {path}: {e}")))?;
-        let mut plane = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None)
+        let mut plane = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes)
             .map_err(|e| err(e.to_string()))?;
         let resume = usize::try_from(plane.pushed()).unwrap_or(usize::MAX);
         if resume > t.records.len() {
@@ -1926,7 +1926,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             text.push_str(&format!(
                 "\ndetector={} scenario={} threshold={:.6e}\n\
                  alerts_on_attack={} alerts_on_benign={} f1={:.4} auc={:.4}\n\
-                 throughput: extract {:.0} pkts/s, with inference {:.0} pkts/s ({:+.1}% overhead)\n",
+                 throughput: extract {:.0} pkts/s, in-shard float scoring {:.0} pkts/s ({:+.1}% overhead)\n",
                 bench.cfg.detector.name(),
                 bench.cfg.scenario.name(),
                 d.threshold,

@@ -10,7 +10,7 @@
 
 use superfe_net::wire::ParseError;
 use superfe_net::{Direction, PacketRecord};
-use superfe_nic::{NicError, StreamingNic};
+use superfe_nic::{NicError, Scorer, StreamingNic};
 use superfe_policy::dsl;
 use superfe_policy::{CompiledPolicy, Policy, PolicyError};
 use superfe_switch::{FeSwitch, SwitchEvent};
@@ -46,76 +46,54 @@ impl StreamingPipeline {
         cfg: SuperFeConfig,
         workers: usize,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, None, None)
+        Self::build(policy, cfg, workers, None, None)
     }
 
-    /// Deploys with an in-pipeline quantized inference stage: every
-    /// finalized feature vector is scored *inside its NIC worker shard*
-    /// before egress ([`superfe_nic::StreamingNic::with_inference`]), and
-    /// alerts come back in [`Extraction::inline_alerts`]. The model should
-    /// first be certified against the policy by the SF09xx analysis pass.
+    /// Deploys with an in-shard inference stage: every finalized feature
+    /// vector is scored *inside its NIC worker shard* before egress
+    /// ([`superfe_nic::StreamingNic::with_inference`]), and alerts come
+    /// back in [`Extraction::inline_alerts`]. The model is a float
+    /// [`superfe_ml::FrozenDetector`] or a fixed-point
+    /// [`superfe_ml::QuantizedDetector`]; the latter should first be
+    /// certified against the policy by the SF09xx analysis pass.
     pub fn with_inference(
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        model: std::sync::Arc<superfe_ml::QuantizedDetector>,
+        model: impl Into<Scorer>,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, None, None, Some(model))
+        Self::build(policy, cfg, workers, None, Some(model.into()))
     }
 
-    /// Deploys with one [`superfe_nic::VectorSink`] attached per NIC shard
-    /// — the detector attachment point used by `superfe-detect`: egressing
-    /// feature vectors flow into the sinks incrementally instead of
-    /// accumulating in [`Extraction::packet_vectors`] (see
-    /// [`superfe_nic::StreamingNic::with_sinks`]).
-    pub fn with_sinks(
-        policy: &Policy,
-        cfg: SuperFeConfig,
-        workers: usize,
-        sinks: Vec<Box<dyn superfe_nic::VectorSink>>,
-    ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, Some(sinks), None, None)
-    }
-
-    /// Deploys with optional sinks *and* optional per-stage latency
-    /// instrumentation: with `metrics` attached, every frame's ring dwell,
-    /// shard processing time, and sink egress time are recorded into the
-    /// shared [`superfe_net::StageMetrics`] histograms (the bench harness's
-    /// producer→shard→sink breakdown).
+    /// Deploys with per-stage latency instrumentation: with `metrics`
+    /// attached, every frame's ring dwell and shard processing time are
+    /// recorded into the shared [`superfe_net::StageMetrics`] histograms
+    /// (the bench harness's producer→shard breakdown).
     pub fn with_options(
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
         metrics: Option<std::sync::Arc<superfe_net::StageMetrics>>,
     ) -> Result<Self, PolicyError> {
-        Self::build(policy, cfg, workers, sinks, metrics, None)
+        Self::build(policy, cfg, workers, metrics, None)
     }
 
     fn build(
         policy: &Policy,
         cfg: SuperFeConfig,
         workers: usize,
-        sinks: Option<Vec<Box<dyn superfe_nic::VectorSink>>>,
         metrics: Option<std::sync::Arc<superfe_net::StageMetrics>>,
-        inference: Option<std::sync::Arc<superfe_ml::QuantizedDetector>>,
+        scorer: Option<Scorer>,
     ) -> Result<Self, PolicyError> {
         let compiled = crate::deploy::gate(policy, &cfg)?;
         let switch = FeSwitch::with_config(compiled.switch.clone(), cfg.cache, cfg.mode)
             .ok_or_else(|| {
                 PolicyError::BadParameters("degenerate switch cache configuration".into())
             })?;
-        let nic = match inference {
-            Some(model) => {
-                StreamingNic::with_inference(&compiled, cfg.cache.fg_table_size, workers, model)
-            }
-            None => StreamingNic::with_options(
-                &compiled,
-                cfg.cache.fg_table_size,
-                workers,
-                sinks,
-                metrics,
-            ),
+        let fg = cfg.cache.fg_table_size;
+        let nic = match scorer {
+            Some(model) => StreamingNic::with_inference(&compiled, fg, workers, model),
+            None => StreamingNic::with_options(&compiled, fg, workers, metrics),
         }
         .map_err(|e| PolicyError::BadParameters(e.to_string()))?;
         Ok(StreamingPipeline {

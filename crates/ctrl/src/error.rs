@@ -95,6 +95,9 @@ pub enum CtrlError {
     /// version-mismatched bytes, or specs that do not match the saved
     /// topology).
     Snapshot(String),
+    /// A plane snapshot was asked of a plane where this tenant has an
+    /// in-shard scorer; scorer alerts are not part of the snapshot format.
+    ScoredTenant(TenantId),
 }
 
 impl std::fmt::Display for CtrlError {
@@ -105,6 +108,11 @@ impl std::fmt::Display for CtrlError {
             CtrlError::UnknownTenant(t) => write!(f, "tenant {t} is not attached"),
             CtrlError::Switch(msg) => write!(f, "shared switch error: {msg}"),
             CtrlError::Snapshot(msg) => write!(f, "plane snapshot error: {msg}"),
+            CtrlError::ScoredTenant(t) => write!(
+                f,
+                "plane snapshot refused: tenant {t} has an in-shard scorer, whose alerts a \
+                 snapshot cannot carry"
+            ),
         }
     }
 }

@@ -52,7 +52,7 @@
 
 use superfe_core::pipeline::SuperFeConfig;
 use superfe_net::{Granularity, PacketRecord};
-use superfe_nic::{SharedStreamingNic, StreamOutput, UnitPressure, VectorSink};
+use superfe_nic::{Scorer, SharedStreamingNic, StreamOutput, UnitPressure};
 use superfe_policy::analyze::{codes, equiv, share as pshare, Diagnostic};
 use superfe_policy::{NicProgram, Policy, SwitchProgram};
 use superfe_switch::resources::{compose, model, SwitchResources};
@@ -82,6 +82,9 @@ pub(crate) struct Slot {
     pub(crate) id: TenantId,
     pub(crate) name: String,
     pub(crate) unit: TenantId,
+    /// Whether the tenant's egress runs an in-shard scorer (its alerts are
+    /// not part of a plane snapshot).
+    pub(crate) scored: bool,
 }
 
 /// One deployed execution unit: a NIC engine set that one or more
@@ -491,9 +494,11 @@ impl CtrlPlane {
         Ok(report)
     }
 
-    /// Admits and deploys `spec` at the current epoch. `sinks`, when given,
-    /// must hold one [`VectorSink`] per NIC shard (the tenant's private
-    /// egress — e.g. its detector's serving sinks).
+    /// Admits and deploys `spec` at the current epoch. `scorer`, when given,
+    /// is the tenant's private egress: a detector scoring every vector the
+    /// tenant egresses inside the NIC shard that computed it (fused members
+    /// each carry their own). Its alerts come back in the tenant's
+    /// [`StreamOutput::inline_alerts`].
     ///
     /// Packets pushed before this call never reach the new tenant; packets
     /// pushed after all do. Other tenants are unaffected. When the SF07xx
@@ -504,7 +509,7 @@ impl CtrlPlane {
     pub fn attach(
         &mut self,
         spec: &TenantSpec,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<TenantId, CtrlError> {
         let demand = self.gate(spec)?;
         let vc = self.analyze.value_config();
@@ -512,20 +517,22 @@ impl CtrlPlane {
         if let Some(pos) = self.fusion_target(spec, hash) {
             let unit_id = self.units[pos].id;
             let id = TenantId(self.next_id);
-            self.nic.join(unit_id, id, sinks)?;
+            let scored = scorer.is_some();
+            self.nic.join(unit_id, id, scorer)?;
             self.next_id = self.next_id.checked_add(1).expect("tenant id space");
             self.units[pos].members.push(id);
             self.slots.push(Slot {
                 id,
                 name: spec.name.clone(),
                 unit: unit_id,
+                scored,
             });
             self.epoch += 1;
             return Ok(id);
         }
         let prefix = pshare::prefix_form(&spec.policy, &vc).switch_prefix;
         if let Some(gpos) = self.prefix_target(spec, &demand, prefix) {
-            return self.attach_to_group(spec, demand, hash, gpos, sinks);
+            return self.attach_to_group(spec, demand, hash, gpos, scorer);
         }
         // Admission with population feedback: already-loaded units are
         // modeled at their observed group population, the candidate at the
@@ -549,9 +556,10 @@ impl CtrlPlane {
                 "degenerate cache configuration for tenant partition".into(),
             ));
         }
+        let scored = scorer.is_some();
         if let Err(e) = self
             .nic
-            .attach(id, &demand.compiled, spec.cfg.cache.fg_table_size, sinks)
+            .attach(id, &demand.compiled, spec.cfg.cache.fg_table_size, scorer)
         {
             // Roll the switch half back so the plane stays consistent.
             let mut discard = Vec::new();
@@ -582,6 +590,7 @@ impl CtrlPlane {
             id,
             name: spec.name.clone(),
             unit: id,
+            scored,
         });
         self.epoch += 1;
         Ok(id)
@@ -597,7 +606,7 @@ impl CtrlPlane {
         demand: TenantDemand,
         hash: u64,
         gpos: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<TenantId, CtrlError> {
         let gid = self.groups[gpos].id;
         // Admission: the candidate's marginal demand is its NIC engine
@@ -615,12 +624,13 @@ impl CtrlPlane {
         let id = TenantId(self.next_id);
         // NIC first — it is the fallible half; the switch re-attach below
         // cannot fail for a configuration the group already validated.
+        let scored = scorer.is_some();
         self.nic.attach_to_group(
             gid,
             id,
             &demand.compiled,
             spec.cfg.cache.fg_table_size,
-            sinks,
+            scorer,
         )?;
         self.next_id = self.next_id.checked_add(1).expect("tenant id space");
         // Swap the partition in for one with the union record layout. The
@@ -660,6 +670,7 @@ impl CtrlPlane {
             id,
             name: spec.name.clone(),
             unit: id,
+            scored,
         });
         self.epoch += 1;
         Ok(id)
@@ -852,6 +863,41 @@ mod tests {
             packet_vectors: sorted(&nic.take_packet_vectors()),
             ..StreamOutput::default()
         }
+    }
+
+    #[test]
+    fn snapshot_of_a_scored_plane_is_refused() {
+        use superfe_ml::{train_and_calibrate, CalibrationConfig, CentroidDetector};
+        let data: Vec<Vec<f64>> = (0..40).map(|i| vec![100.0 + f64::from(i % 7)]).collect();
+        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        let frozen = train_and_calibrate(
+            Box::new(CentroidDetector::new(1).unwrap()),
+            &refs,
+            0.2,
+            CalibrationConfig::default(),
+        )
+        .unwrap();
+        let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
+        plane.attach(&host_sum(), None).unwrap();
+        // The scored tenant fuses into the unscored one's unit: the refusal
+        // is per member, not per unit.
+        let scored = plane
+            .attach(&host_sum_renamed(), Some(frozen.into()))
+            .unwrap();
+        assert_eq!(plane.units().len(), 1);
+        for p in packets(200) {
+            plane.push(&p).unwrap();
+        }
+        assert!(matches!(
+            plane.snapshot(),
+            Err(CtrlError::ScoredTenant(t)) if t == scored
+        ));
+        // The refusal leaves the plane serving; once the scored tenant is
+        // gone the snapshot goes through.
+        let out = plane.detach(scored).unwrap();
+        assert!(out.inline_stats.is_some_and(|s| s.scored > 0));
+        assert!(plane.snapshot().is_ok());
+        plane.finish().unwrap();
     }
 
     #[test]

@@ -34,11 +34,11 @@
 
 use superfe_core::analyze::AnalyzeConfig;
 use superfe_net::snap::{StateReader, StateWriter};
-use superfe_nic::{FeNic, FeatureVector, ShardUnitState, VectorSink};
+use superfe_nic::{FeNic, FeatureVector, ShardUnitState};
 use superfe_policy::analyze::{equiv, share as pshare};
 use superfe_policy::SwitchProgram;
 use superfe_switch::resources::model;
-use superfe_switch::tenant::{union_metadata, TenantId};
+use superfe_switch::tenant::{union_metadata, SharedSwitch, TenantId};
 
 use crate::error::CtrlError;
 use crate::plane::{CtrlPlane, Group, Slot, TenantSpec, Unit};
@@ -48,6 +48,12 @@ use crate::plane::{CtrlPlane, Group, Slot, TenantSpec, Unit};
 pub const SNAPSHOT_VERSION: u16 = 1;
 
 const MAGIC: &[u8] = b"SFSN";
+
+/// The largest worker count [`CtrlPlane::restore`] accepts. Restore starts
+/// one thread per recorded worker, and a snapshot without units carries no
+/// per-shard state that would vouch for the count, so a larger (corrupt)
+/// count is refused before any thread starts.
+const MAX_RESTORE_WORKERS: usize = 256;
 
 fn snap_err(msg: impl Into<String>) -> CtrlError {
     CtrlError::Snapshot(msg.into())
@@ -81,7 +87,14 @@ impl CtrlPlane {
     /// Serializes the plane's complete live state into versioned snapshot
     /// bytes. Non-destructive: shards are flushed and synchronized (the
     /// snapshot is a clean stream cut), then the plane keeps serving.
+    ///
+    /// A plane where any tenant has an in-shard scorer is refused with
+    /// [`CtrlError::ScoredTenant`]: scorer alerts and counters are not part
+    /// of the snapshot format, so a restored plane could not resume them.
     pub fn snapshot(&mut self) -> Result<Vec<u8>, CtrlError> {
+        if let Some(s) = self.slots.iter().find(|s| s.scored) {
+            return Err(CtrlError::ScoredTenant(s.id));
+        }
         let dumps = self.nic.dump_state()?;
         let mut w = StateWriter::new();
         w.put_bytes(MAGIC);
@@ -165,9 +178,8 @@ impl CtrlPlane {
     /// tenant's attach from `specs` (matched by slot name) and then
     /// transplanting the saved dynamic state, so the restored plane's
     /// remaining output is bitwise what the snapshotted plane would have
-    /// produced. `sinks` is consulted once per tenant name and must return
-    /// one sink per NIC shard (or `None`) exactly as the original attach
-    /// did.
+    /// produced. Tenants are restored without scorers: a plane with a
+    /// scored tenant cannot be snapshotted in the first place.
     ///
     /// The worker count is taken from the snapshot — CG-key sharding is
     /// worker-count dependent, so resuming on different parallelism cannot
@@ -176,7 +188,6 @@ impl CtrlPlane {
         analyze: AnalyzeConfig,
         specs: &[TenantSpec],
         bytes: &[u8],
-        mut sinks: impl FnMut(&str) -> Option<Vec<Box<dyn VectorSink>>>,
     ) -> Result<CtrlPlane, CtrlError> {
         let mut r = StateReader::new(bytes);
         if need(r.get_bytes(), "magic")? != MAGIC {
@@ -189,8 +200,10 @@ impl CtrlPlane {
             )));
         }
         let workers = need(r.get_u32(), "worker count")? as usize;
-        if workers == 0 {
-            return Err(snap_err("snapshot records zero workers"));
+        if workers == 0 || workers > MAX_RESTORE_WORKERS {
+            return Err(snap_err(format!(
+                "snapshot records {workers} workers, outside 1..={MAX_RESTORE_WORKERS}"
+            )));
         }
         let fusion = need(r.get_bool(), "fusion flag")?;
         let cse = need(r.get_bool(), "cse flag")?;
@@ -288,6 +301,12 @@ impl CtrlPlane {
                 .ok_or_else(|| snap_err(format!("unknown group id {old}")))
         };
 
+        // The rebuilt plane starts a thread and builds an engine per worker
+        // and unit, so the per-shard state must be proven present before
+        // anything is built: walk it once, then load it on a second pass.
+        let mut dynamic = r.clone();
+        check_shard_states(&mut r, groups.len(), workers)?;
+
         let mut plane = CtrlPlane::build(workers, analyze, fusion, cse);
         let vc = plane.analyze.value_config();
 
@@ -324,24 +343,22 @@ impl CtrlPlane {
                         rep.name, gmeta.id
                     )));
                 }
-                plane.nic.attach(
-                    uid,
-                    &demand.compiled,
-                    rep.cfg.cache.fg_table_size,
-                    sinks(&rep.name),
-                )?;
+                plane
+                    .nic
+                    .attach(uid, &demand.compiled, rep.cfg.cache.fg_table_size, None)?;
             } else {
                 plane.nic.attach_to_group(
                     gid,
                     uid,
                     &demand.compiled,
                     rep.cfg.cache.fg_table_size,
-                    sinks(&rep.name),
+                    None,
                 )?;
             }
             for &m in &u.members[1..] {
-                let mname = name_of(m)?;
-                plane.nic.join(uid, TenantId(m), sinks(mname))?;
+                // Every member must own a tenant slot.
+                name_of(m)?;
+                plane.nic.join(uid, TenantId(m), None)?;
             }
             plane.units.push(Unit {
                 id: uid,
@@ -418,26 +435,27 @@ impl CtrlPlane {
                 id: TenantId(s.id),
                 name: s.name.clone(),
                 unit: new_unit(s.unit)?,
+                scored: false,
             });
         }
 
         // Transplant the dynamic state: switch partitions first, then NIC
         // routed positions and per-shard engine state.
         need(
-            plane.switch.load_stats(&mut r),
+            plane.switch.load_stats(&mut dynamic),
             "shared switch link counters",
         )?;
         for g in &groups {
             let gid = new_group(g.id)?;
             need(
-                r.get_section(|r| plane.switch.load_tenant_state(gid, r)),
+                dynamic.get_section(|r| plane.switch.load_tenant_state(gid, r)),
                 "switch partition state",
             )?;
         }
-        let npos = need(r.get_u16(), "group position count")? as usize;
+        let npos = need(dynamic.get_u16(), "group position count")? as usize;
         for _ in 0..npos {
-            let old = need(r.get_u16(), "group position id")?;
-            let routed = need(r.get_u64(), "group routed counter")?;
+            let old = need(dynamic.get_u16(), "group position id")?;
+            let routed = need(dynamic.get_u64(), "group routed counter")?;
             let gid = new_group(old)?;
             if !plane.nic.set_group_position(gid, routed) {
                 return Err(snap_err(format!(
@@ -445,45 +463,40 @@ impl CtrlPlane {
                 )));
             }
         }
-        let ndumps = need(r.get_u16(), "unit dump count")? as usize;
+        let ndumps = need(dynamic.get_u16(), "unit dump count")? as usize;
         for _ in 0..ndumps {
-            let old = need(r.get_u16(), "dump unit id")?;
+            let old = need(dynamic.get_u16(), "dump unit id")?;
             let uid = new_unit(old)?;
             let unit = plane
                 .units
                 .iter()
                 .find(|u| u.id == uid)
                 .ok_or_else(|| snap_err(format!("dump for unknown unit {old}")))?;
-            let nshards = need(r.get_u32(), "dump shard count")? as usize;
-            if nshards != workers {
-                return Err(snap_err(format!(
-                    "unit {old} dump carries {nshards} shard states for {workers} workers"
-                )));
-            }
+            let nshards = need(dynamic.get_u32(), "dump shard count")? as usize;
             let mut shards = Vec::with_capacity(nshards);
             for _ in 0..nshards {
-                let shard = need(r.get_u32(), "shard index")? as usize;
+                let shard = need(dynamic.get_u32(), "shard index")? as usize;
                 let mut engine = Box::new(
                     FeNic::new(&unit.demand.compiled, unit.cfg.cache.fg_table_size).ok_or_else(
                         || snap_err("degenerate NIC configuration in saved unit".to_string()),
                     )?,
                 );
                 need(
-                    r.get_section(|r| engine.load_state(r)),
+                    dynamic.get_section(|r| engine.load_state(r)),
                     "shard engine state",
                 )?;
-                let nseqs = need(r.get_u16(), "member seq count")? as usize;
+                let nseqs = need(dynamic.get_u16(), "member seq count")? as usize;
                 let mut member_seqs = Vec::with_capacity(nseqs);
                 for _ in 0..nseqs {
-                    let m = need(r.get_u16(), "member id")?;
-                    let seq = need(r.get_u64(), "member seq")?;
+                    let m = need(dynamic.get_u16(), "member id")?;
+                    let seq = need(dynamic.get_u64(), "member seq")?;
                     member_seqs.push((TenantId(m), seq));
                 }
-                let npkts = need(r.get_u32(), "accumulated vector count")? as usize;
+                let npkts = need(dynamic.get_u32(), "accumulated vector count")? as usize;
                 let mut pkts_accum = Vec::with_capacity(npkts);
                 for _ in 0..npkts {
                     pkts_accum.push(need(
-                        FeatureVector::load_state(&mut r),
+                        FeatureVector::load_state(&mut dynamic),
                         "accumulated vector",
                     )?);
                 }
@@ -496,15 +509,62 @@ impl CtrlPlane {
             }
             plane.nic.restore_unit(uid, shards)?;
         }
-        if !r.is_empty() {
-            return Err(snap_err(format!(
-                "{} trailing bytes after the last section",
-                r.remaining()
-            )));
-        }
         plane.next_id = next_id;
         plane.epoch = epoch;
         plane.pushed = pushed;
         Ok(plane)
     }
+}
+
+/// Walks the dynamic half of a snapshot — switch link counters, partition
+/// sections, routed positions and unit dumps — without loading any of it,
+/// checking that every unit dump carries exactly `workers` shard states and
+/// that nothing trails the last one.
+fn check_shard_states(
+    r: &mut StateReader<'_>,
+    ngroups: usize,
+    workers: usize,
+) -> Result<(), CtrlError> {
+    need(
+        SharedSwitch::new().load_stats(r),
+        "shared switch link counters",
+    )?;
+    for _ in 0..ngroups {
+        need(r.get_bytes(), "switch partition state")?;
+    }
+    let npos = need(r.get_u16(), "group position count")?;
+    for _ in 0..npos {
+        need(r.get_u16(), "group position id")?;
+        need(r.get_u64(), "group routed counter")?;
+    }
+    let ndumps = need(r.get_u16(), "unit dump count")?;
+    for _ in 0..ndumps {
+        let unit = need(r.get_u16(), "dump unit id")?;
+        let nshards = need(r.get_u32(), "dump shard count")? as usize;
+        if nshards != workers {
+            return Err(snap_err(format!(
+                "unit {unit} dump carries {nshards} shard states for {workers} workers"
+            )));
+        }
+        for _ in 0..nshards {
+            need(r.get_u32(), "shard index")?;
+            need(r.get_bytes(), "shard engine state")?;
+            let nseqs = need(r.get_u16(), "member seq count")?;
+            for _ in 0..nseqs {
+                need(r.get_u16(), "member id")?;
+                need(r.get_u64(), "member seq")?;
+            }
+            let npkts = need(r.get_u32(), "accumulated vector count")?;
+            for _ in 0..npkts {
+                need(FeatureVector::load_state(r), "accumulated vector")?;
+            }
+        }
+    }
+    if !r.is_empty() {
+        return Err(snap_err(format!(
+            "{} trailing bytes after the last section",
+            r.remaining()
+        )));
+    }
+    Ok(())
 }

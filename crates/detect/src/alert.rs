@@ -1,12 +1,12 @@
-//! The typed alert stream and its canonical ordering.
+//! The typed alert stream.
 
 use superfe_net::GroupKey;
 
-/// One anomaly alert emitted by the serving executor.
+/// One anomaly alert raised by an in-shard scorer (or by offline scoring).
 #[derive(Clone, Debug)]
 pub struct Alert {
-    /// The scenario label the serve run was started with (for operators
-    /// correlating alert streams across runs; `"live"` by default).
+    /// The scenario label the run was started with (for operators
+    /// correlating alert streams across runs).
     pub scenario: String,
     /// The group key of the offending feature vector (the finest
     /// granularity for per-packet vectors).
@@ -21,7 +21,7 @@ pub struct Alert {
     pub seq: u64,
 }
 
-/// One scored vector (recorded when `ServeConfig::record_scores` is on).
+/// One scored vector of an offline scoring pass.
 #[derive(Clone, Debug)]
 pub struct ScoredVector {
     /// Group key of the scored vector.
@@ -32,41 +32,4 @@ pub struct ScoredVector {
     pub seq: u64,
     /// Anomaly score.
     pub score: f64,
-}
-
-/// Sorts alerts into the canonical order: by group key, then by per-key
-/// stream position.
-///
-/// Every group key lives on exactly one shard and each shard's sequence
-/// numbers are monotonic in stream order, so within a key `seq` sorts
-/// vectors by arrival — and the resulting `(key, score)` sequence is
-/// identical at every worker count (the `seq` *values* differ across
-/// worker counts, but the per-key order does not).
-pub fn canonicalize_alerts(alerts: &mut [Alert]) {
-    alerts.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
-    });
-}
-
-/// Sorts scored vectors into the same canonical order as
-/// [`canonicalize_alerts`].
-pub fn canonicalize_scores(scores: &mut [ScoredVector]) {
-    scores.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
-    });
-}
-
-/// The worker-count-independent fingerprint of a canonical score stream:
-/// `(key, score bits)` pairs in canonical order. Two serve runs (or a serve
-/// run and an offline batch scoring) are bitwise-identical iff their
-/// fingerprints are equal.
-pub fn score_fingerprint(scores: &[ScoredVector]) -> Vec<(String, u64)> {
-    scores
-        .iter()
-        .map(|s| (format!("{:?}", s.key), s.score.to_bits()))
-        .collect()
 }

@@ -1,25 +1,22 @@
-//! SuperFE online inference serving (`superfe-detect`).
+//! SuperFE online detection (`superfe-detect`).
 //!
 //! The paper's target applications (§8.3) are ML detectors fed by extracted
-//! features; this crate closes the loop from a live packet stream to a
-//! typed alert stream. It attaches trained [`superfe_ml::Detector`]s to the
-//! streaming extraction pipeline:
+//! features. Detectors score *inside the NIC shards*: a trained
+//! [`superfe_ml::FrozenDetector`] or its SF09xx-certified fixed-point
+//! lowering attaches to the streaming pipeline as a [`superfe_nic::Scorer`]
+//! (`StreamingPipeline::with_inference`, or `CtrlPlane::attach` for a
+//! tenant), so only alerts leave the extraction pipeline. This crate
+//! supplies what sits around that stage:
 //!
-//! - [`serve`]: the sharded serving executor — egressing feature vectors
-//!   flow from NIC shards into bounded-channel inference workers that score
-//!   in batches, emit [`Alert`]s, and apply backpressure end to end.
-//!   Telemetry ([`StageCounters`], score/latency [`superfe_streaming::Histogram`]s)
-//!   surfaces in a [`ServeReport`].
-//! - [`pipeline`]: [`DetectPipeline`] — switch producer, NIC shards, and
-//!   inference workers wired together behind one `push`/`finish` API.
 //! - [`offline`]: batch scoring with identical canonical semantics, the
-//!   reference the online path is differentially tested against.
-//! - [`quantized`]: the in-pipeline fixed-point path — offline quantized
-//!   reference scoring, inline-alert lifting, measured float-vs-quantized
-//!   score deltas, and the report section for `detect --in-pipeline`.
+//!   reference the in-shard stage is differentially tested against;
+//! - [`quantized`]: the fixed-point pieces — offline quantized reference
+//!   scoring, inline-alert lifting, measured float-vs-quantized score
+//!   deltas, and the report section for `detect --in-pipeline`;
 //! - [`alert`]: the [`Alert`] type and the canonical (key, per-key
 //!   position) ordering that makes alert streams deterministic across
-//!   worker counts.
+//!   worker counts;
+//! - [`DetectorKind`]: the built-in models, selectable by name.
 //!
 //! Model training and threshold calibration live in
 //! [`superfe_ml::detector`] (the `Training → Calibrating → Serving`
@@ -27,20 +24,12 @@
 //! [`superfe_ml::FrozenDetector`].
 
 pub mod alert;
-pub mod error;
-pub mod multi;
 pub mod offline;
-pub mod pipeline;
 pub mod quantized;
-pub mod serve;
 
-pub use alert::{canonicalize_alerts, canonicalize_scores, score_fingerprint, Alert, ScoredVector};
-pub use error::DetectError;
-pub use multi::MultiServing;
+pub use alert::{Alert, ScoredVector};
 pub use offline::{score_offline, OfflineScores};
-pub use pipeline::DetectPipeline;
 pub use quantized::{inline_to_alerts, max_score_delta, score_offline_quantized, QuantizedSection};
-pub use serve::{ServeConfig, ServeReport, Serving, StageCounters};
 
 use superfe_ml::{CartDetector, CentroidDetector, Detector, KitNetDetector, KnnNovelty, MlError};
 

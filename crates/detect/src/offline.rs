@@ -1,12 +1,13 @@
-//! Offline batch scoring — the reference semantics the online executor is
-//! differentially tested against.
+//! Offline batch scoring — the reference semantics the in-shard scorers
+//! are differentially tested against.
 
 use std::collections::HashMap;
 
 use superfe_ml::FrozenDetector;
-use superfe_nic::FeatureVector;
+use superfe_net::GroupKey;
+use superfe_nic::{canonicalize, FeatureVector, Scorer};
 
-use crate::alert::{canonicalize_alerts, canonicalize_scores, Alert, ScoredVector};
+use crate::alert::{Alert, ScoredVector};
 
 /// Result of scoring an extraction offline.
 #[derive(Debug)]
@@ -15,21 +16,37 @@ pub struct OfflineScores {
     pub scores: Vec<ScoredVector>,
     /// Alerts in canonical order.
     pub alerts: Vec<Alert>,
-    /// Vectors rejected with a dimension mismatch (skipped, as online).
+    /// Vectors rejected with a dimension mismatch (skipped, as in-shard).
     pub dim_errors: u64,
 }
 
-/// Scores a batch extraction with a frozen detector, producing the same
-/// canonical score/alert streams the serving executor emits for the same
-/// input.
+/// Scores a batch extraction with a frozen float detector, producing the
+/// same canonical score/alert streams an in-shard float scorer emits for
+/// the same input.
 ///
-/// `packet_vectors` must precede `group_vectors` (matching the online
-/// egress order: per-packet vectors stream out as frames drain, per-group
-/// vectors follow at end of stream). The `(shard, seq)` tags are synthetic
-/// — shard 0, per-key occurrence index — since only the *per-key order*
-/// is part of the cross-path contract.
+/// `packet_vectors` must precede `group_vectors` (matching the in-shard
+/// egress order: per-packet vectors are scored as frames drain, per-group
+/// vectors at end of stream). The `(shard, seq)` tags are synthetic —
+/// shard 0, per-key occurrence index — since only the *per-key order* is
+/// part of the cross-path contract.
 pub fn score_offline(
     det: &FrozenDetector,
+    packet_vectors: &[FeatureVector],
+    group_vectors: &[FeatureVector],
+    scenario: &str,
+) -> OfflineScores {
+    score_with(
+        &Scorer::Float(det.clone()),
+        packet_vectors,
+        group_vectors,
+        scenario,
+    )
+}
+
+/// The scoring loop behind [`score_offline`] and
+/// [`crate::score_offline_quantized`], for either back-end.
+pub(crate) fn score_with(
+    model: &Scorer,
     packet_vectors: &[FeatureVector],
     group_vectors: &[FeatureVector],
     scenario: &str,
@@ -39,34 +56,32 @@ pub fn score_offline(
         alerts: Vec::new(),
         dim_errors: 0,
     };
-    let mut occurrence: HashMap<String, u64> = HashMap::new();
+    let mut occurrence: HashMap<GroupKey, u64> = HashMap::new();
     for v in packet_vectors.iter().chain(group_vectors) {
-        let key_str = format!("{:?}", v.key);
-        let seq = occurrence.entry(key_str).or_insert(0);
-        match det.score(v.values.as_slice()) {
-            Ok(score) => {
-                out.scores.push(ScoredVector {
-                    key: v.key,
-                    shard: 0,
-                    seq: *seq,
-                    score,
-                });
-                if det.is_alert(score) {
-                    out.alerts.push(Alert {
-                        scenario: scenario.to_string(),
-                        key: v.key,
-                        score,
-                        threshold: det.threshold(),
-                        shard: 0,
-                        seq: *seq,
-                    });
-                }
-                *seq += 1;
-            }
-            Err(_) => out.dim_errors += 1,
+        let Ok(score) = model.score(v.values.as_slice()) else {
+            out.dim_errors += 1;
+            continue;
+        };
+        let seq = occurrence.entry(v.key).or_insert(0);
+        out.scores.push(ScoredVector {
+            key: v.key,
+            shard: 0,
+            seq: *seq,
+            score,
+        });
+        if model.is_alert(score) {
+            out.alerts.push(Alert {
+                scenario: scenario.to_string(),
+                key: v.key,
+                score,
+                threshold: model.threshold(),
+                shard: 0,
+                seq: *seq,
+            });
         }
+        *seq += 1;
     }
-    canonicalize_scores(&mut out.scores);
-    canonicalize_alerts(&mut out.alerts);
+    canonicalize(&mut out.scores, |s| (s.key, s.seq));
+    canonicalize(&mut out.alerts, |a| (a.key, a.seq));
     out
 }

@@ -1,9 +1,8 @@
 //! The in-pipeline quantized inference path: offline reference scoring,
 //! alert-stream conversion, and the report section.
 //!
-//! The host-side serving executor ([`crate::serve`]) scores float vectors
-//! in separate inference workers. The in-pipeline path instead executes a
-//! fixed-point [`QuantizedDetector`] *inside each NIC worker shard*
+//! A fixed-point [`QuantizedDetector`] is the quantized back-end of the
+//! in-shard [`superfe_nic::Scorer`]
 //! ([`superfe_core::StreamingPipeline::with_inference`]), so only alerts
 //! leave the extraction pipeline. This module supplies the pieces around
 //! that stage:
@@ -19,13 +18,13 @@
 //! - [`QuantizedSection`]: the report section `superfe detect
 //!   --in-pipeline` and `bench detect` attach to their output.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use superfe_ml::{FrozenDetector, QuantizedDetector};
-use superfe_nic::{FeatureVector, InlineAlert};
+use superfe_nic::{canonicalize, FeatureVector, InlineAlert, Scorer};
 
-use crate::alert::{canonicalize_alerts, canonicalize_scores, Alert, ScoredVector};
-use crate::offline::OfflineScores;
+use crate::alert::Alert;
+use crate::offline::{score_with, OfflineScores};
 
 /// Scores a batch extraction with a fixed-point model, producing canonical
 /// score/alert streams bitwise-comparable with the in-pipeline stage's
@@ -40,44 +39,15 @@ pub fn score_offline_quantized(
     group_vectors: &[FeatureVector],
     scenario: &str,
 ) -> OfflineScores {
-    let mut out = OfflineScores {
-        scores: Vec::with_capacity(packet_vectors.len() + group_vectors.len()),
-        alerts: Vec::new(),
-        dim_errors: 0,
-    };
-    let mut occurrence: HashMap<String, u64> = HashMap::new();
-    for v in packet_vectors.iter().chain(group_vectors) {
-        let key_str = format!("{:?}", v.key);
-        let seq = occurrence.entry(key_str).or_insert(0);
-        match model.score(v.values.as_slice()) {
-            Ok(score) => {
-                out.scores.push(ScoredVector {
-                    key: v.key,
-                    shard: 0,
-                    seq: *seq,
-                    score,
-                });
-                if model.is_alert(score) {
-                    out.alerts.push(Alert {
-                        scenario: scenario.to_string(),
-                        key: v.key,
-                        score,
-                        threshold: model.threshold(),
-                        shard: 0,
-                        seq: *seq,
-                    });
-                }
-                *seq += 1;
-            }
-            Err(_) => out.dim_errors += 1,
-        }
-    }
-    canonicalize_scores(&mut out.scores);
-    canonicalize_alerts(&mut out.alerts);
-    out
+    score_with(
+        &Scorer::Quantized(Arc::new(model.clone())),
+        packet_vectors,
+        group_vectors,
+        scenario,
+    )
 }
 
-/// Lifts the NIC's in-pipeline alerts into the typed [`Alert`] stream, in
+/// Lifts the NIC's in-shard alerts into the typed [`Alert`] stream, in
 /// canonical order with the scenario label stamped.
 pub fn inline_to_alerts(inline: &[InlineAlert], scenario: &str) -> Vec<Alert> {
     let mut alerts: Vec<Alert> = inline
@@ -91,7 +61,7 @@ pub fn inline_to_alerts(inline: &[InlineAlert], scenario: &str) -> Vec<Alert> {
             seq: a.seq,
         })
         .collect();
-    canonicalize_alerts(&mut alerts);
+    canonicalize(&mut alerts, |a| (a.key, a.seq));
     alerts
 }
 

@@ -2,7 +2,8 @@
 //! harness: a monotonic nanosecond clock and atomic histograms.
 //!
 //! The streaming pipeline is instrumented at three stages
-//! (producer→shard queue dwell, per-frame shard processing, sink egress);
+//! (producer→shard queue dwell, per-frame shard processing, in-shard
+//! scoring at egress);
 //! workers record into [`AtomicHistogram`]s through a shared
 //! [`StageMetrics`] handle with one `fetch_add` per sample, so measurement
 //! never takes a lock on the hot path. All timestamps come from
@@ -158,7 +159,8 @@ pub struct HistSummary {
 }
 
 /// Per-stage latency histograms for one streaming-pipeline run:
-/// producer→shard queue dwell, per-frame shard processing, and sink egress.
+/// producer→shard queue dwell, per-frame shard processing, and in-shard
+/// scoring at egress.
 ///
 /// Constructed by the bench harness, shared (`Arc`) into the executor; the
 /// ring transport records `queue` itself (each histogram is independently
@@ -170,7 +172,8 @@ pub struct StageMetrics {
     pub queue: std::sync::Arc<AtomicHistogram>,
     /// Per-frame NIC processing time on the worker.
     pub shard: std::sync::Arc<AtomicHistogram>,
-    /// Per-frame sink egress time (vector emission) on the worker.
+    /// Per-frame egress time on the worker: the in-shard scorers scoring
+    /// the frame's fresh vectors. Empty when no member has a scorer.
     pub sink: std::sync::Arc<AtomicHistogram>,
 }
 
@@ -192,7 +195,7 @@ pub struct StageSummaries {
     pub queue: HistSummary,
     /// Shard-processing distribution.
     pub shard: HistSummary,
-    /// Sink-egress distribution.
+    /// Egress (in-shard scoring) distribution.
     pub sink: HistSummary,
 }
 

@@ -107,7 +107,8 @@ impl StateWriter {
 }
 
 /// Cursor over serialized snapshot bytes. All reads are truncation-safe.
-#[derive(Debug)]
+/// Cloning a reader forks the cursor (a second pass over the same bytes).
+#[derive(Clone, Debug)]
 pub struct StateReader<'a> {
     buf: &'a [u8],
     pos: usize,

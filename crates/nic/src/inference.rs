@@ -1,27 +1,73 @@
-//! In-pipeline quantized inference: scoring finalized feature vectors
-//! inside the worker shards, before egress.
+//! In-shard inference: scoring finalized feature vectors inside the worker
+//! shards, before egress.
 //!
-//! The host-side serving path ([`VectorSink`](crate::stream::VectorSink))
-//! moves every vector off the NIC and scores it in a separate stage. The
-//! in-pipeline path instead executes a fixed-point
-//! [`QuantizedDetector`](superfe_ml::QuantizedDetector) — compiled by the
-//! SF09xx certification pass — on each vector right where it is finalized,
-//! and only *alerts* leave the pipeline.
+//! Every finalized vector is scored right where it is computed, and only
+//! *alerts* leave the pipeline. The model is a [`Scorer`] with two
+//! back-ends: a float [`FrozenDetector`] (any trained model, k-NN
+//! included) or a fixed-point [`QuantizedDetector`] compiled and certified
+//! by the SF09xx pass.
 //!
-//! Determinism: the quantized model is pure integer arithmetic, every group
-//! key lives on exactly one shard, and each alert carries the shard's
-//! `(key, seq)` stream position — the same canonical-ordering contract as
-//! the host alert stream, so the alert sequence per key is bitwise
-//! identical at every worker count.
+//! Determinism: scoring is pure (the quantized back-end is pure integer
+//! arithmetic), every group key lives on exactly one shard, and each alert
+//! carries the shard's `(key, seq)` stream position, so the alert sequence
+//! per key is bitwise identical at every worker count.
 
 use std::sync::Arc;
 
-use superfe_ml::QuantizedDetector;
+use superfe_ml::{FrozenDetector, MlError, QuantizedDetector};
 use superfe_net::GroupKey;
 
 use crate::engine::FeatureVector;
 
-/// One alert raised by the in-pipeline inference stage.
+/// The model an in-shard inference stage runs.
+#[derive(Clone)]
+pub enum Scorer {
+    /// A trained, calibrated float detector.
+    Float(FrozenDetector),
+    /// A fixed-point detector lowered by the SF09xx pass.
+    Quantized(Arc<QuantizedDetector>),
+}
+
+impl Scorer {
+    /// Scores one vector (pure).
+    pub fn score(&self, x: &[f64]) -> Result<f64, MlError> {
+        match self {
+            Scorer::Float(d) => d.score(x),
+            Scorer::Quantized(q) => q.score(x),
+        }
+    }
+
+    /// Whether a score crosses the alert threshold (strictly above).
+    pub fn is_alert(&self, score: f64) -> bool {
+        match self {
+            Scorer::Float(d) => d.is_alert(score),
+            Scorer::Quantized(q) => q.is_alert(score),
+        }
+    }
+
+    /// The alert threshold in force (grid-snapped for the quantized
+    /// back-end).
+    pub fn threshold(&self) -> f64 {
+        match self {
+            Scorer::Float(d) => d.threshold(),
+            Scorer::Quantized(q) => q.threshold(),
+        }
+    }
+}
+
+impl From<FrozenDetector> for Scorer {
+    fn from(d: FrozenDetector) -> Self {
+        Scorer::Float(d)
+    }
+}
+
+impl From<Arc<QuantizedDetector>> for Scorer {
+    fn from(q: Arc<QuantizedDetector>) -> Self {
+        Scorer::Quantized(q)
+    }
+}
+
+/// One alert raised by the in-shard inference stage.
 #[derive(Clone, Debug)]
 pub struct InlineAlert {
     /// NIC shard that computed (and scored) the vector.
@@ -30,10 +76,10 @@ pub struct InlineAlert {
     pub seq: u64,
     /// Group key of the offending vector.
     pub key: GroupKey,
-    /// The quantized anomaly score (`score_q / 2^FA`, exactly
-    /// representable).
+    /// The anomaly score (for the quantized back-end `score_q / 2^FA`,
+    /// exactly representable).
     pub score: f64,
-    /// The grid-snapped alert threshold in force.
+    /// The alert threshold in force.
     pub threshold: f64,
 }
 
@@ -58,21 +104,21 @@ impl InlineStats {
     }
 }
 
-/// The per-shard inference stage: one shared quantized model, private
-/// counters and alert buffer. Lives inside the worker thread; scoring is
-/// pure integer arithmetic, so sharing the model read-only across shards
-/// cannot introduce nondeterminism.
+/// The per-shard inference stage: one shared model, private counters and
+/// alert buffer. Lives inside the worker thread; scoring is pure, so
+/// sharing the model read-only across shards cannot introduce
+/// nondeterminism.
 pub struct InlineInference {
-    model: Arc<QuantizedDetector>,
+    model: Scorer,
     alerts: Vec<InlineAlert>,
     stats: InlineStats,
 }
 
 impl InlineInference {
-    /// Creates a shard stage over a shared quantized model.
-    pub fn new(model: Arc<QuantizedDetector>) -> Self {
+    /// Creates a shard stage over a shared model.
+    pub fn new(model: impl Into<Scorer>) -> Self {
         InlineInference {
-            model,
+            model: model.into(),
             alerts: Vec::new(),
             stats: InlineStats::default(),
         }
@@ -104,15 +150,16 @@ impl InlineInference {
     }
 }
 
-/// Sorts inline alerts into the canonical order — by group key, then by
-/// per-key stream position. `seq` *values* differ across worker counts but
-/// the per-key order does not, so the canonical `(key, score, threshold)`
-/// sequence is worker-count-independent.
-pub fn canonicalize_inline_alerts(alerts: &mut [InlineAlert]) {
-    alerts.sort_by(|a, b| {
-        format!("{:?}", a.key)
-            .cmp(&format!("{:?}", b.key))
-            .then(a.seq.cmp(&b.seq))
+/// Sorts stream items into the canonical order: by group key, then by
+/// per-key stream position. Every group key lives on one shard and each
+/// shard numbers its vectors in stream order, so `seq` *values* differ
+/// across worker counts but the per-key order does not: the canonical
+/// sequence is worker-count-independent. The sort is stable and renders
+/// each item's key once.
+pub fn canonicalize<T>(items: &mut [T], position: impl Fn(&T) -> (GroupKey, u64)) {
+    items.sort_by_cached_key(|item| {
+        let (key, seq) = position(item);
+        (format!("{key:?}"), seq)
     });
 }
 
@@ -180,6 +227,30 @@ mod tests {
     }
 
     #[test]
+    fn float_back_end_scores_like_its_detector() {
+        let data: Vec<Vec<f64>> = (0..80)
+            .map(|i| vec![5.0 + f64::from(i % 7), 6.0 + f64::from(i % 5)])
+            .collect();
+        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        let frozen = train_and_calibrate(
+            Box::new(CentroidDetector::new(2).unwrap()) as Box<dyn Detector>,
+            &refs,
+            0.2,
+            CalibrationConfig::default(),
+        )
+        .unwrap();
+        let hostile = vector(2, &[-5.0, -6.0]);
+        let mut inf = InlineInference::new(frozen.clone());
+        inf.score(0, 0, &vector(1, &[5.0, 6.0]));
+        inf.score(0, 1, &hostile);
+        let (alerts, stats) = inf.into_parts();
+        assert_eq!((stats.scored, stats.alerts), (2, 1));
+        let expected = frozen.score(hostile.values()).unwrap();
+        assert_eq!(alerts[0].score.to_bits(), expected.to_bits());
+        assert_eq!(alerts[0].threshold, frozen.threshold());
+    }
+
+    #[test]
     fn dimension_mismatch_is_counted_not_fatal() {
         let mut inf = InlineInference::new(model(3));
         inf.score(0, 0, &vector(1, &[1.0]));
@@ -207,8 +278,8 @@ mod tests {
         // Same logical stream sharded two ways.
         let mut a = vec![mk(0, 0, 2), mk(0, 1, 1), mk(0, 2, 2)];
         let mut b = vec![mk(1, 0, 2), mk(0, 0, 1), mk(1, 1, 2)];
-        canonicalize_inline_alerts(&mut a);
-        canonicalize_inline_alerts(&mut b);
+        canonicalize(&mut a, |x| (x.key, x.seq));
+        canonicalize(&mut b, |x| (x.key, x.seq));
         assert_eq!(inline_alert_fingerprint(&a), inline_alert_fingerprint(&b));
     }
 

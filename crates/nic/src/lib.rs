@@ -25,10 +25,10 @@
 //!   plane.
 //! - [`stream`]: [`StreamingNic`], the single-policy front end — the
 //!   runtime with one unit.
-//! - [`inference`]: the in-pipeline quantized inference stage — a
-//!   fixed-point detector compiled by the SF09xx pass, executed on each
-//!   finalized vector inside the worker shard so only alerts leave the
-//!   pipeline.
+//! - [`inference`]: the in-shard inference stage — a [`Scorer`] (a float
+//!   detector or a fixed-point one certified by the SF09xx pass) executed
+//!   on each finalized vector inside the worker shard, so only alerts
+//!   leave the pipeline.
 //! - [`resources`]: NIC memory utilization for Table 4.
 //! - [`feasibility`]: the `SF04xx` diagnostics of `superfe check`, combining
 //!   the placement ILP and the capacity model into pass/warn/fail findings.
@@ -50,11 +50,11 @@ pub use engine::{EvictedVector, FeNic, FeatureVector, NicStats};
 pub use error::NicError;
 pub use feasibility::{check_capacity, check_nic};
 pub use inference::{
-    canonicalize_inline_alerts, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats,
+    canonicalize, inline_alert_fingerprint, InlineAlert, InlineInference, InlineStats, Scorer,
 };
 pub use perf::{cycles_from_cost, CycleModel, OptFlags, PerfEstimate};
 pub use placement::{solve_placement, Placement};
 pub use resources::{model_many, NicResources};
 pub use shared::{ShardUnitState, SharedStreamingNic, UnitPressure, UnitStateDump};
-pub use stream::{EgressVector, StreamOutput, StreamingNic, VectorSink};
+pub use stream::{StreamOutput, StreamingNic};
 pub use table::{EvictionPolicy, GroupTable, TableBudget, TableStats};

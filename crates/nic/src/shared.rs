@@ -43,10 +43,9 @@
 //!   member-visible output is bitwise a solo run's and state never crosses
 //!   unit boundaries. Several units may consume one shared-prefix switch
 //!   partition's stream (SF08xx).
-//! - **In-shard egress**: a member's [`VectorSink`] runs on the worker, and
-//!   so does the quantized scorer of a
-//!   [`StreamingNic::with_inference`](crate::stream::StreamingNic::with_inference)
-//!   unit; both tag a vector with the same `seq`.
+//! - **In-shard scoring**: a member's optional [`Scorer`] runs on the
+//!   worker and tags each scored vector with the member's own `(shard,
+//!   seq)` position.
 //! - **Epoch-based reconfiguration**: [`SharedStreamingNic::attach`],
 //!   [`SharedStreamingNic::join`] and the detach handshakes travel
 //!   *in-band* as control markers through the same rings as event frames
@@ -68,7 +67,6 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use superfe_ml::QuantizedDetector;
 use superfe_net::metrics::{monotonic_ns, StageMetrics};
 use superfe_net::ring;
 use superfe_net::Granularity;
@@ -78,11 +76,8 @@ use superfe_switch::SwitchEvent;
 
 use crate::engine::{EvictedVector, FeNic, FeatureVector, NicStats};
 use crate::error::NicError;
-use crate::inference::{InlineAlert, InlineInference, InlineStats};
-use crate::stream::{
-    EgressVector, StreamOutput, VectorSink, CHANNEL_DEPTH, DOORBELL_FRAMES, FRAME_SIZE,
-    RECYCLE_DEPTH,
-};
+use crate::inference::{InlineAlert, InlineInference, InlineStats, Scorer};
+use crate::stream::{StreamOutput, CHANNEL_DEPTH, DOORBELL_FRAMES, FRAME_SIZE, RECYCLE_DEPTH};
 use crate::table::TableBudget;
 
 /// The unit (and its only member) that [`SharedStreamingNic::solo`]
@@ -106,16 +101,16 @@ enum ShardMsg {
         unit: TenantId,
         group: TenantId,
         engine: Box<FeNic>,
-        sink: Option<Box<dyn VectorSink>>,
+        scorer: Option<Scorer>,
     },
     /// Join marker: add `member` to an existing unit's demux fan-out.
     Join {
         unit: TenantId,
         member: TenantId,
-        sink: Option<Box<dyn VectorSink>>,
+        scorer: Option<Scorer>,
     },
-    /// Detach marker for a whole unit: finalize its engine, flush every
-    /// member's sink, and ack one finished piece per member.
+    /// Detach marker for a whole unit: finalize its engine and ack one
+    /// finished piece per member.
     Detach {
         unit: TenantId,
         ack: Sender<(usize, TenantPiece)>,
@@ -170,7 +165,7 @@ pub struct ShardUnitState {
     pub engine: Box<FeNic>,
     /// Per-member `(member, next egress seq)` counters, in join order.
     pub member_seqs: Vec<(TenantId, u64)>,
-    /// Per-packet vectors accumulated for sinkless members.
+    /// Per-packet vectors accumulated for the members' final output.
     pub pkts_accum: Vec<FeatureVector>,
 }
 
@@ -212,52 +207,33 @@ struct TenantPiece {
     inline: Option<(Vec<InlineAlert>, InlineStats)>,
 }
 
-/// One member's egress half: its sink, its optional in-shard scorer, and
-/// the `(shard, seq)` numbering the two share.
+/// One member's egress half: its optional in-shard scorer and the
+/// `(shard, seq)` numbering of the vectors it scores.
 struct MemberEgress {
     member: TenantId,
-    sink: Option<Box<dyn VectorSink>>,
-    /// Quantized detector scoring every vector this member egresses.
     scorer: Option<InlineInference>,
     /// Per-(member, shard) monotonic egress sequence number. It advances
-    /// once per egressed vector whenever the member has a sink or a scorer.
+    /// once per egressed vector whenever the member has a scorer.
     seq: u64,
 }
 
 impl MemberEgress {
-    fn new(member: TenantId, sink: Option<Box<dyn VectorSink>>) -> Self {
+    fn new(member: TenantId, scorer: Option<Scorer>) -> Self {
         MemberEgress {
             member,
-            sink,
-            scorer: None,
+            scorer: scorer.map(InlineInference::new),
             seq: 0,
         }
     }
 
-    /// Egresses `vectors` in order at this member's next positions: each
-    /// is scored (with a scorer) and emitted (with a sink) under one `seq`.
-    /// The sink takes the vectors; a sinkless member hands them back.
-    fn egress(&mut self, shard: usize, vectors: Vec<FeatureVector>) -> Vec<FeatureVector> {
+    /// Scores `vectors` in order at this member's next positions.
+    fn egress(&mut self, shard: usize, vectors: &[FeatureVector]) {
         if let Some(scorer) = self.scorer.as_mut() {
-            for (seq, vector) in (self.seq..).zip(&vectors) {
-                scorer.score(shard, seq, vector);
+            for vector in vectors {
+                scorer.score(shard, self.seq, vector);
+                self.seq += 1;
             }
         }
-        let Some(sink) = self.sink.as_mut() else {
-            if self.scorer.is_some() {
-                self.seq += vectors.len() as u64;
-            }
-            return vectors;
-        };
-        for vector in vectors {
-            sink.emit(EgressVector {
-                shard,
-                seq: self.seq,
-                vector,
-            });
-            self.seq += 1;
-        }
-        Vec::new()
     }
 }
 
@@ -280,43 +256,34 @@ struct UnitEngine {
     group: TenantId,
     nic: Box<FeNic>,
     members: Vec<MemberEgress>,
-    /// Per-packet vectors accumulated for sinkless members' final output
-    /// (sinked members stream theirs out per frame).
+    /// Per-packet vectors accumulated for the members' final output.
     pkts_accum: Vec<FeatureVector>,
     shard: usize,
 }
 
 impl UnitEngine {
-    fn has_sink(&self) -> bool {
-        self.members.iter().any(|m| m.sink.is_some())
+    fn has_scorer(&self) -> bool {
+        self.members.iter().any(|m| m.scorer.is_some())
     }
 
-    /// Demuxes freshly accumulated per-packet vectors: every member
-    /// egresses them under its own sequence numbering, and they land in
-    /// the unit buffer when any sinkless member still needs them.
+    /// Demuxes freshly accumulated per-packet vectors: every member scores
+    /// them under its own sequence numbering, and they land in the unit
+    /// buffer.
     fn drain_packets(&mut self) {
-        let mut fresh = self.nic.take_packet_vectors();
+        let fresh = self.nic.take_packet_vectors();
         if fresh.is_empty() {
             return;
         }
-        let keep = self.members.iter().any(|m| m.sink.is_none());
-        let n = self.members.len();
-        for (i, m) in self.members.iter_mut().enumerate() {
-            if m.sink.is_some() {
-                m.egress(self.shard, hand_out(&mut fresh, i + 1 == n && !keep));
-            } else {
-                fresh = m.egress(self.shard, fresh);
-            }
+        for m in &mut self.members {
+            m.egress(self.shard, &fresh);
         }
-        if keep {
-            self.pkts_accum.extend(fresh);
-        }
+        self.pkts_accum.extend(fresh);
     }
 
     /// End of stream for the whole unit on this shard: drain the last
     /// per-packet vectors, finish the engine once, then demux — every
-    /// member gets its own copy of the group vectors (and its sink
-    /// flushed). The last member takes the buffers themselves.
+    /// member scores the group vectors and gets its own copy of the
+    /// buffers. The last member takes the buffers themselves.
     fn finalize(mut self) -> Vec<TenantPiece> {
         self.drain_packets();
         let UnitEngine {
@@ -331,30 +298,23 @@ impl UnitEngine {
         let stats = *nic.stats();
         let groups_per_level = nic.groups_per_level();
         let n = members.len();
-        let last_sinkless = members.iter().rposition(|m| m.sink.is_none());
-        let mut pieces = Vec::with_capacity(n);
-        for (i, mut m) in members.into_iter().enumerate() {
-            let pkts = if m.sink.is_some() {
-                m.egress(shard, groups.clone());
-                Vec::new()
-            } else {
-                groups = m.egress(shard, groups);
-                hand_out(&mut pkts_accum, Some(i) == last_sinkless)
-            };
-            if let Some(mut sink) = m.sink.take() {
-                sink.flush();
-            }
-            pieces.push(TenantPiece {
-                tenant: m.member,
-                groups: hand_out(&mut groups, i + 1 == n),
-                pkts,
-                evicted: hand_out(&mut evicted, i + 1 == n),
-                stats,
-                groups_per_level: groups_per_level.clone(),
-                inline: m.scorer.map(InlineInference::into_parts),
-            });
-        }
-        pieces
+        members
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut m)| {
+                m.egress(shard, &groups);
+                let last = i + 1 == n;
+                TenantPiece {
+                    tenant: m.member,
+                    groups: hand_out(&mut groups, last),
+                    pkts: hand_out(&mut pkts_accum, last),
+                    evicted: hand_out(&mut evicted, last),
+                    stats,
+                    groups_per_level: groups_per_level.clone(),
+                    inline: m.scorer.map(InlineInference::into_parts),
+                }
+            })
+            .collect()
     }
 
     /// Finalizes one departing member against a clone of the unit engine
@@ -369,21 +329,12 @@ impl UnitEngine {
         for e in events {
             nic.handle(e);
         }
-        let survivors_need = self.members.iter().any(|m| m.sink.is_none());
-        let pkts_accum = if departing.sink.is_some() {
-            Vec::new()
-        } else {
-            hand_out(&mut self.pkts_accum, !survivors_need)
-        };
-        if !survivors_need {
-            self.pkts_accum.clear();
-        }
         let clone = UnitEngine {
             unit: self.unit,
             group: self.group,
             nic,
             members: vec![departing],
-            pkts_accum,
+            pkts_accum: self.pkts_accum.clone(),
             shard: self.shard,
         };
         clone.finalize().pop()
@@ -415,10 +366,10 @@ fn run_shard(
                 if let (Some(m), Some(t0)) = (&metrics, t0) {
                     m.shard.record(monotonic_ns().saturating_sub(t0));
                 }
-                // Egress is timed only when a sink takes vectors.
+                // Egress is timed only when a member scores vectors.
                 let t1 = metrics
                     .as_ref()
-                    .filter(|_| engines.iter().any(UnitEngine::has_sink))
+                    .filter(|_| engines.iter().any(UnitEngine::has_scorer))
                     .map(|_| monotonic_ns());
                 for u in engines.iter_mut() {
                     u.drain_packets();
@@ -435,20 +386,24 @@ fn run_shard(
                 unit,
                 group,
                 engine,
-                sink,
+                scorer,
             } => {
                 engines.push(UnitEngine {
                     unit,
                     group,
                     nic: engine,
-                    members: vec![MemberEgress::new(unit, sink)],
+                    members: vec![MemberEgress::new(unit, scorer)],
                     pkts_accum: Vec::new(),
                     shard,
                 });
             }
-            ShardMsg::Join { unit, member, sink } => {
+            ShardMsg::Join {
+                unit,
+                member,
+                scorer,
+            } => {
                 if let Some(u) = engines.iter_mut().find(|u| u.unit == unit) {
-                    u.members.push(MemberEgress::new(member, sink));
+                    u.members.push(MemberEgress::new(member, scorer));
                 }
             }
             ShardMsg::Detach { unit, ack } => {
@@ -559,21 +514,6 @@ fn build_engines(
         .collect()
 }
 
-/// Validates and splits an optional per-shard sink list.
-fn split_sinks(
-    workers: usize,
-    sinks: Option<Vec<Box<dyn VectorSink>>>,
-) -> Result<Vec<Option<Box<dyn VectorSink>>>, NicError> {
-    match sinks {
-        Some(s) if s.len() != workers => Err(NicError::Engine(format!(
-            "sink count {} does not match worker count {workers}",
-            s.len()
-        ))),
-        Some(s) => Ok(s.into_iter().map(Some).collect()),
-        None => Ok((0..workers).map(|_| None).collect()),
-    }
-}
-
 struct SharedWorker {
     tx: ring::Producer<ShardMsg>,
     /// Consumer end of this worker's bounded frame recycle ring.
@@ -629,32 +569,27 @@ impl SharedStreamingNic {
     /// [`StreamingNic`](crate::stream::StreamingNic). Engines are built
     /// before any thread starts, so configuration problems surface here.
     ///
-    /// `model` gives the member an in-shard scorer; `metrics` records every
-    /// frame's ring dwell, shard processing time and sink egress time.
+    /// `scorer` gives the member an in-shard scorer; `metrics` records
+    /// every frame's ring dwell, shard processing time and scoring time.
     pub(crate) fn solo(
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         workers: usize,
         budget: TableBudget,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
-        model: Option<Arc<QuantizedDetector>>,
+        scorer: Option<Scorer>,
         metrics: Option<Arc<StageMetrics>>,
     ) -> Result<Self, NicError> {
         let n = workers.max(1);
-        let sinks = split_sinks(n, sinks)?;
         let engines = build_engines(compiled, fg_table_size, n, budget)?;
         let initial = engines
             .into_iter()
-            .zip(sinks)
             .enumerate()
-            .map(|(shard, (nic, sink))| {
-                let mut member = MemberEgress::new(SOLO, sink);
-                member.scorer = model.clone().map(InlineInference::new);
+            .map(|(shard, nic)| {
                 vec![UnitEngine {
                     unit: SOLO,
                     group: SOLO,
                     nic: Box::new(nic),
-                    members: vec![member],
+                    members: vec![MemberEgress::new(SOLO, scorer.clone())],
                     pkts_accum: Vec::new(),
                     shard,
                 }]
@@ -747,19 +682,18 @@ impl SharedStreamingNic {
     /// at the current epoch: all events pushed after this call are
     /// processed by its engines; nothing before is.
     ///
-    /// `fg_table_size` is the unit's NIC group-table quota. `sinks`, when
-    /// given, must hold one sink per shard (`sinks[i]` moves into worker
-    /// `i`); with sinks attached the tenant's per-packet vectors are
-    /// diverted exactly as in
-    /// [`StreamingNic::with_sinks`](crate::stream::StreamingNic::with_sinks).
+    /// `fg_table_size` is the unit's NIC group-table quota. `scorer`, when
+    /// given, scores every vector the tenant egresses on the worker that
+    /// computed it (one copy of the model per shard), exactly as in
+    /// [`StreamingNic::with_inference`](crate::stream::StreamingNic::with_inference).
     pub fn attach(
         &mut self,
         tenant: TenantId,
         compiled: &CompiledPolicy,
         fg_table_size: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<(), NicError> {
-        self.attach_unit(tenant, tenant, compiled, fg_table_size, sinks)?;
+        self.attach_unit(tenant, tenant, compiled, fg_table_size, scorer)?;
         self.groups.push((tenant, 0));
         Ok(())
     }
@@ -779,7 +713,7 @@ impl SharedStreamingNic {
         tenant: TenantId,
         compiled: &CompiledPolicy,
         fg_table_size: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<(), NicError> {
         let Some(routed) = self
             .groups
@@ -794,7 +728,7 @@ impl SharedStreamingNic {
                 "group {group} has already processed events; a late unit cannot share its prefix"
             )));
         }
-        self.attach_unit(group, tenant, compiled, fg_table_size, sinks)
+        self.attach_unit(group, tenant, compiled, fg_table_size, scorer)
     }
 
     /// Builds per-shard engines for a new unit of one and sends the attach
@@ -806,7 +740,7 @@ impl SharedStreamingNic {
         tenant: TenantId,
         compiled: &CompiledPolicy,
         fg_table_size: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<(), NicError> {
         if self.members.iter().any(|m| m.member == tenant) {
             return Err(NicError::Engine(format!(
@@ -814,13 +748,11 @@ impl SharedStreamingNic {
             )));
         }
         let n = self.workers.len();
-        let mut sinks = split_sinks(n, sinks)?;
         let engines = build_engines(compiled, fg_table_size, n, self.budget)?;
         // Everything already queued belongs to the previous epoch: flush it
         // ahead of the markers so the attach point is a clean stream cut.
         self.flush_all()?;
         for (w, engine) in engines.into_iter().enumerate() {
-            let sink = sinks[w].take();
             // Control markers publish immediately (send_now): an epoch cut
             // must not sit staged behind the doorbell batch.
             self.workers[w]
@@ -829,7 +761,7 @@ impl SharedStreamingNic {
                     unit: tenant,
                     group,
                     engine: Box::new(engine),
-                    sink,
+                    scorer: scorer.clone(),
                 })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
         }
@@ -857,7 +789,7 @@ impl SharedStreamingNic {
         &mut self,
         unit: TenantId,
         member: TenantId,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
+        scorer: Option<Scorer>,
     ) -> Result<(), NicError> {
         if self.group_of_unit(unit).is_none() {
             return Err(NicError::Engine(format!("unit {unit} is not attached")));
@@ -872,13 +804,15 @@ impl SharedStreamingNic {
                 "tenant {member} is already attached"
             )));
         }
-        let mut sinks = split_sinks(self.workers.len(), sinks)?;
         self.flush_all()?;
         for (w, worker) in self.workers.iter_mut().enumerate() {
-            let sink = sinks[w].take();
             worker
                 .tx
-                .send_now(ShardMsg::Join { unit, member, sink })
+                .send_now(ShardMsg::Join {
+                    unit,
+                    member,
+                    scorer: scorer.clone(),
+                })
                 .map_err(|_| NicError::WorkerLost { worker: w })?;
         }
         self.members.push(MemberEntry { member, unit });
@@ -887,9 +821,8 @@ impl SharedStreamingNic {
 
     /// Detaches `member` — the *sole* member of its unit — with a
     /// drain-and-flush handshake: pending frames are flushed, every shard
-    /// finalizes the unit's engine (egressing its remaining vectors and
-    /// flushing its sink), and the merged output is returned once all
-    /// shards have acked. Blocks until the epoch completes.
+    /// finalizes the unit's engine (scoring its remaining vectors), and the
+    /// merged output is returned once all shards have acked. Blocks until the epoch completes.
     ///
     /// For a member of a still-populated unit use
     /// [`SharedStreamingNic::snapshot_detach`].
@@ -1726,14 +1659,11 @@ mod tests {
     }
 
     #[test]
-    fn attach_rejects_duplicates_and_bad_sink_counts() {
+    fn attach_rejects_duplicates() {
         let a = host_sum();
         let mut nic = SharedStreamingNic::new(2);
         nic.attach(TenantId(7), &a, 16_384, None).unwrap();
         assert!(nic.attach(TenantId(7), &a, 16_384, None).is_err());
-        assert!(nic
-            .attach(TenantId(8), &a, 16_384, Some(Vec::new()))
-            .is_err());
         assert!(nic.detach(TenantId(9)).is_err());
         assert!(nic.join(TenantId(7), TenantId(7), None).is_err());
         nic.finish().unwrap();
@@ -1878,6 +1808,107 @@ mod tests {
             assert_eq!(p.evicted_groups, 0);
         }
         nic.finish().unwrap();
+    }
+
+    /// A centroid detector trained opposite to what `host_sum` emits
+    /// (positive byte sums), so every host alerts.
+    fn alerting_scorer() -> Scorer {
+        use superfe_ml::{train_and_calibrate, CalibrationConfig, CentroidDetector};
+        let data: Vec<Vec<f64>> = (0..64).map(|i| vec![-1.0 - f64::from(i % 5)]).collect();
+        let refs: Vec<&[f64]> = data.iter().map(Vec::as_slice).collect();
+        let frozen = train_and_calibrate(
+            Box::new(CentroidDetector::new(1).unwrap()),
+            &refs,
+            0.2,
+            CalibrationConfig::default(),
+        )
+        .unwrap();
+        Scorer::Float(frozen)
+    }
+
+    fn canonical(mut alerts: Vec<InlineAlert>) -> Vec<(String, u64)> {
+        crate::inference::canonicalize(&mut alerts, |a| (a.key, a.seq));
+        alerts
+            .iter()
+            .map(|a| (format!("{:?}", a.key), a.score.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn member_scorers_are_private_to_their_members() {
+        let a = host_sum();
+        let mut sw = SharedSwitch::new();
+        sw.attach(
+            TenantId(0),
+            a.switch.clone(),
+            MgpvConfig::default(),
+            CacheMode::Mgpv,
+        );
+        let mut nic = SharedStreamingNic::new(3);
+        nic.attach(TenantId(0), &a, 16_384, Some(alerting_scorer()))
+            .unwrap();
+        nic.join(TenantId(0), TenantId(1), None).unwrap();
+        nic.join(TenantId(0), TenantId(2), Some(alerting_scorer()))
+            .unwrap();
+        let mut frame = Vec::new();
+        for p in packets(800) {
+            frame.clear();
+            sw.process_into(&p, &mut frame);
+            nic.push_all(frame.drain(..)).unwrap();
+        }
+        frame.clear();
+        sw.flush_into(&mut frame);
+        nic.push_all(frame.drain(..)).unwrap();
+        let mut outs = nic.finish().unwrap();
+        let scored = outs.remove(2).1;
+        let plain = outs.remove(1).1;
+        let founder = outs.remove(0).1;
+        // The unscored member sees no inference stage at all; both scored
+        // members score every group vector and raise identical alerts.
+        assert!(plain.inline_stats.is_none());
+        assert!(plain.inline_alerts.is_empty());
+        let groups = plain.group_vectors.len() as u64;
+        for out in [&founder, &scored] {
+            let stats = out.inline_stats.expect("scorer attached");
+            assert_eq!((stats.scored, stats.alerts), (groups, groups));
+            assert_eq!(out.group_vectors, plain.group_vectors);
+        }
+        assert_eq!(
+            canonical(founder.inline_alerts),
+            canonical(scored.inline_alerts)
+        );
+    }
+
+    #[test]
+    fn scoring_step_is_timed_per_frame() {
+        let a = host_sum();
+        let metrics = Arc::new(StageMetrics::default());
+        let mut sw = FeSwitch::new(a.switch.clone()).unwrap();
+        let mut nic = SharedStreamingNic::solo(
+            &a,
+            16_384,
+            2,
+            TableBudget::default(),
+            Some(alerting_scorer()),
+            Some(metrics.clone()),
+        )
+        .unwrap();
+        let mut frame = Vec::new();
+        for p in packets(3000) {
+            frame.clear();
+            sw.process_into(&p, &mut frame);
+            for event in frame.drain(..) {
+                nic.push(TaggedEvent {
+                    tenant: SOLO,
+                    event,
+                })
+                .unwrap();
+            }
+        }
+        nic.finish().unwrap();
+        let s = metrics.summaries();
+        assert!(s.shard.count > 0);
+        assert_eq!(s.sink.count, s.shard.count);
     }
 
     #[test]

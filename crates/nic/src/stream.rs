@@ -12,11 +12,10 @@
 //! (see DESIGN.md "Threading model").
 //!
 //! This module also holds the vocabulary both front ends share: the frame
-//! geometry, [`EgressVector`], [`VectorSink`] and [`StreamOutput`].
+//! geometry and [`StreamOutput`].
 
 use std::sync::Arc;
 
-use superfe_ml::QuantizedDetector;
 use superfe_net::metrics::StageMetrics;
 use superfe_net::Granularity;
 use superfe_policy::CompiledPolicy;
@@ -25,7 +24,7 @@ use superfe_switch::SwitchEvent;
 
 use crate::engine::{EvictedVector, FeatureVector, NicStats};
 use crate::error::NicError;
-use crate::inference::{InlineAlert, InlineStats};
+use crate::inference::{InlineAlert, InlineStats, Scorer};
 use crate::shared::{SharedStreamingNic, SOLO};
 use crate::table::TableBudget;
 
@@ -46,39 +45,6 @@ pub const DOORBELL_FRAMES: usize = 4;
 /// frames are dropped (freed), never blocked on.
 pub const RECYCLE_DEPTH: usize = CHANNEL_DEPTH + 2;
 
-/// A feature vector egressing a worker shard, tagged with its stream
-/// position: the shard index and a per-shard monotonic sequence number.
-///
-/// Per-packet vectors are tagged in arrival order as frames drain;
-/// per-group vectors follow at end of stream (policy level order). Because
-/// every group key lives on exactly one shard and shards preserve stream
-/// order, the `(shard, seq)` tags give a deterministic per-key vector order
-/// for a given input and worker count.
-#[derive(Clone, Debug)]
-pub struct EgressVector {
-    /// Shard that computed the vector.
-    pub shard: usize,
-    /// Per-shard monotonic sequence number (0-based).
-    pub seq: u64,
-    /// The feature vector itself.
-    pub vector: FeatureVector,
-}
-
-/// A consumer of feature vectors egressing the streaming executor — the
-/// attachment point for online inference (`superfe-detect`).
-///
-/// One sink instance is moved into each worker thread, so implementations
-/// need no interior locking; blocking in [`VectorSink::emit`] backpressures
-/// the owning NIC shard (and, transitively, the switch producer).
-pub trait VectorSink: Send {
-    /// Consumes one egressing vector. Called from the worker thread.
-    fn emit(&mut self, v: EgressVector);
-
-    /// Called once after the shard's final vector, before the worker
-    /// thread exits. Implementations flush any internal batching here.
-    fn flush(&mut self) {}
-}
-
 /// Merged output of a streaming run.
 #[derive(Debug, Default)]
 pub struct StreamOutput {
@@ -96,14 +62,14 @@ pub struct StreamOutput {
     /// Groups finalized early by DRAM budget eviction, concatenated in
     /// shard order. Empty under the default budget.
     pub evicted_vectors: Vec<EvictedVector>,
-    /// Alerts raised by the in-pipeline inference stage, concatenated in
+    /// Alerts raised by the in-shard inference stage, concatenated in
     /// shard order. Empty unless the executor was built with
     /// [`StreamingNic::with_inference`]. Use
-    /// [`canonicalize_inline_alerts`](crate::inference::canonicalize_inline_alerts)
-    /// for a worker-count-independent order.
+    /// [`canonicalize`](crate::inference::canonicalize) for a
+    /// worker-count-independent order.
     pub inline_alerts: Vec<InlineAlert>,
-    /// Merged counters of the in-pipeline inference stage; `None` when no
-    /// quantized model was attached.
+    /// Merged counters of the in-shard inference stage; `None` when no
+    /// scorer was attached.
     pub inline_stats: Option<InlineStats>,
 }
 
@@ -139,66 +105,43 @@ impl StreamingNic {
         workers: usize,
         budget: TableBudget,
     ) -> Result<Self, NicError> {
-        SharedStreamingNic::solo(compiled, fg_table_size, workers, budget, None, None, None)
+        SharedStreamingNic::solo(compiled, fg_table_size, workers, budget, None, None)
             .map(|plane| StreamingNic { plane })
     }
 
-    /// Like [`StreamingNic::new`], but compiles a quantized detector into
-    /// the pipeline: every finalized feature vector (per-packet and
-    /// per-group) is scored *inside its worker shard* before egress, and
-    /// alerts surface in [`StreamOutput::inline_alerts`].
+    /// Like [`StreamingNic::new`], but attaches an in-shard scorer: every
+    /// finalized feature vector (per-packet and per-group) is scored
+    /// *inside its worker shard* before egress, and alerts surface in
+    /// [`StreamOutput::inline_alerts`].
     ///
-    /// The model is shared read-only across shards — scoring is pure
-    /// integer arithmetic ([`QuantizedDetector::score_q`]), so the alert
-    /// stream per group key is bitwise identical at every worker count.
+    /// The model is shared read-only across shards and scoring is pure, so
+    /// the alert stream per group key is bitwise identical at every worker
+    /// count.
     pub fn with_inference(
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         workers: usize,
-        model: Arc<QuantizedDetector>,
+        model: impl Into<Scorer>,
     ) -> Result<Self, NicError> {
         SharedStreamingNic::solo(
             compiled,
             fg_table_size,
             workers,
             TableBudget::default(),
-            None,
-            Some(model),
+            Some(model.into()),
             None,
         )
         .map(|plane| StreamingNic { plane })
     }
 
-    /// Like [`StreamingNic::new`], but attaches one [`VectorSink`] per
-    /// shard: `sinks[i]` moves into worker `i`'s thread and receives that
-    /// shard's vectors as they are computed ([`EgressVector`] tags carry
-    /// the stream position).
-    ///
-    /// With a sink attached, per-packet vectors are *diverted*: they flow
-    /// to the sink incrementally instead of accumulating in
-    /// [`StreamOutput::packet_vectors`] (which comes back empty). Per-group
-    /// vectors are both egressed at end of stream and returned.
-    ///
-    /// `sinks.len()` must equal the (clamped, ≥ 1) worker count.
-    pub fn with_sinks(
-        compiled: &CompiledPolicy,
-        fg_table_size: usize,
-        workers: usize,
-        sinks: Vec<Box<dyn VectorSink>>,
-    ) -> Result<Self, NicError> {
-        Self::with_options(compiled, fg_table_size, workers, Some(sinks), None)
-    }
-
-    /// Fully-general constructor: optional per-shard sinks and optional
-    /// per-stage latency instrumentation. With `metrics` attached, every
-    /// frame's ring dwell (producer send → worker receive), per-frame shard
-    /// processing time, and per-frame sink egress time are recorded into
-    /// the shared [`StageMetrics`] histograms.
+    /// Like [`StreamingNic::new`], with per-stage latency instrumentation:
+    /// every frame's ring dwell (producer send → worker receive) and
+    /// per-frame shard processing time are recorded into the shared
+    /// [`StageMetrics`] histograms.
     pub fn with_options(
         compiled: &CompiledPolicy,
         fg_table_size: usize,
         workers: usize,
-        sinks: Option<Vec<Box<dyn VectorSink>>>,
         metrics: Option<Arc<StageMetrics>>,
     ) -> Result<Self, NicError> {
         SharedStreamingNic::solo(
@@ -206,7 +149,6 @@ impl StreamingNic {
             fg_table_size,
             workers,
             TableBudget::default(),
-            sinks,
             None,
             metrics,
         )
@@ -333,8 +275,7 @@ mod tests {
         let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
         let metrics = Arc::new(StageMetrics::default());
         let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic =
-            StreamingNic::with_options(&c, 16_384, 2, None, Some(metrics.clone())).unwrap();
+        let mut nic = StreamingNic::with_options(&c, 16_384, 2, Some(metrics.clone())).unwrap();
         let mut frame = Vec::new();
         for i in 0..5000u32 {
             let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
@@ -349,105 +290,15 @@ mod tests {
         assert_eq!(out.stats.records, 5000);
         let s = metrics.summaries();
         // Every delivered frame contributes one queue-dwell and one shard
-        // sample; no sink is attached so the sink histogram stays empty.
+        // sample; no scorer is attached so the scoring histogram stays
+        // empty.
         assert!(s.queue.count > 0);
         assert_eq!(s.queue.count, s.shard.count);
         assert_eq!(s.sink.count, 0);
         assert!(s.shard.p99_ns >= s.shard.p50_ns);
     }
 
-    /// Collects egressed vectors into a shared buffer for inspection.
-    struct CollectSink {
-        out: std::sync::Arc<std::sync::Mutex<Vec<EgressVector>>>,
-        flushed: std::sync::Arc<std::sync::atomic::AtomicUsize>,
-    }
-
-    impl VectorSink for CollectSink {
-        fn emit(&mut self, v: EgressVector) {
-            self.out.lock().unwrap().push(v);
-        }
-        fn flush(&mut self) {
-            self.flushed
-                .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        }
-    }
-
-    fn run_with_sinks(
-        c: &CompiledPolicy,
-        n: u32,
-        workers: usize,
-    ) -> (StreamOutput, Vec<EgressVector>, usize) {
-        let out = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let flushed = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let sinks: Vec<Box<dyn VectorSink>> = (0..workers.max(1))
-            .map(|_| {
-                Box::new(CollectSink {
-                    out: out.clone(),
-                    flushed: flushed.clone(),
-                }) as Box<dyn VectorSink>
-            })
-            .collect();
-        let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
-        let mut nic = StreamingNic::with_sinks(c, 16_384, workers, sinks).unwrap();
-        let mut frame = Vec::new();
-        for i in 0..n {
-            let p = PacketRecord::tcp(u64::from(i) * 100, 100, i % 31 + 1, 1000, 2, 80);
-            frame.clear();
-            sw.process_into(&p, &mut frame);
-            nic.push_all(frame.drain(..)).unwrap();
-        }
-        frame.clear();
-        sw.flush_into(&mut frame);
-        nic.push_all(frame.drain(..)).unwrap();
-        let merged = nic.finish().unwrap();
-        let egressed = std::mem::take(&mut *out.lock().unwrap());
-        let flushes = flushed.load(std::sync::atomic::Ordering::SeqCst);
-        (merged, egressed, flushes)
-    }
-
-    #[test]
-    fn sinks_divert_packet_vectors_and_tag_positions() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)");
-        let plain = run_streaming(&c, 2000, 2);
-        let (merged, egressed, flushes) = run_with_sinks(&c, 2000, 2);
-        // Diverted: the sink sees what the plain run buffered.
-        assert!(merged.packet_vectors.is_empty());
-        assert_eq!(flushes, 2);
-        assert_eq!(egressed.len(), plain.packet_vectors.len());
-        let sink_sorted = sorted(egressed.iter().map(|e| e.vector.clone()).collect());
-        assert_eq!(sorted(plain.packet_vectors), sink_sorted);
-        // Tags: per-shard sequence numbers are dense from 0.
-        for shard in 0..2 {
-            let mut seqs: Vec<u64> = egressed
-                .iter()
-                .filter(|e| e.shard == shard)
-                .map(|e| e.seq)
-                .collect();
-            seqs.sort_unstable();
-            assert!(seqs.iter().enumerate().all(|(i, &s)| s == i as u64));
-        }
-    }
-
-    #[test]
-    fn sinks_also_see_group_vectors() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let (merged, egressed, _) = run_with_sinks(&c, 500, 3);
-        // Group-collect policy: groups are both egressed and returned.
-        assert_eq!(egressed.len(), merged.group_vectors.len());
-        assert_eq!(
-            sorted(egressed.into_iter().map(|e| e.vector).collect()),
-            sorted(merged.group_vectors)
-        );
-    }
-
-    #[test]
-    fn sink_count_must_match_workers() {
-        let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(host)");
-        let err = StreamingNic::with_sinks(&c, 16_384, 2, Vec::new());
-        assert!(matches!(err, Err(NicError::Engine(_))));
-    }
-
-    fn quant_model(train: &[Vec<f64>]) -> Arc<QuantizedDetector> {
+    fn quant_model(train: &[Vec<f64>]) -> Arc<superfe_ml::QuantizedDetector> {
         use superfe_ml::{
             quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, Detector,
             QuantConfig,
@@ -467,7 +318,7 @@ mod tests {
         c: &CompiledPolicy,
         n: u32,
         workers: usize,
-        model: Arc<QuantizedDetector>,
+        model: impl Into<Scorer>,
     ) -> StreamOutput {
         let mut sw = FeSwitch::new(c.switch.clone()).unwrap();
         let mut nic = StreamingNic::with_inference(c, 16_384, workers, model).unwrap();
@@ -522,7 +373,7 @@ mod tests {
         for workers in [1, 2, 4, 8] {
             let out = run_with_inference(&c, 2000, workers, model.clone());
             let mut alerts = out.inline_alerts;
-            crate::inference::canonicalize_inline_alerts(&mut alerts);
+            crate::inference::canonicalize(&mut alerts, |a| (a.key, a.seq));
             fingerprints.push(crate::inference::inline_alert_fingerprint(&alerts));
         }
         assert!(!fingerprints[0].is_empty());
@@ -536,7 +387,7 @@ mod tests {
         let c = compiled("pktstream\n.groupby(host)\n.reduce(size, [f_sum])\n.collect(pkt)");
         let train: Vec<Vec<f64>> = (0..64).map(|i| vec![100.0 + f64::from(i % 5)]).collect();
         let out = run_with_inference(&c, 2000, 2, quant_model(&train));
-        // No sink attached: scored per-packet vectors are still returned.
+        // Scored per-packet vectors are still returned.
         let plain = run_streaming(&c, 2000, 2);
         assert_eq!(out.packet_vectors.len(), plain.packet_vectors.len());
         let stats = out.inline_stats.expect("inference was attached");

@@ -389,12 +389,13 @@ mod prefix_isolation {
 
 mod alert_isolation {
     use superfe::ctrl::{CtrlPlane, TenantSpec};
-    use superfe::detect::{MultiServing, ServeConfig, ServeReport};
+    use superfe::detect::{inline_to_alerts, score_offline, Alert};
     use superfe::ml::{train_and_calibrate, CalibrationConfig, CentroidDetector, FrozenDetector};
     use superfe::net::PacketRecord;
+    use superfe::nic::InlineStats;
     use superfe::policy::dsl;
     use superfe::switch::TenantId;
-    use superfe::{AnalyzeConfig, SuperFeConfig};
+    use superfe::{AnalyzeConfig, SuperFe, SuperFeConfig};
 
     /// Per-packet flow statistics for the monitored tenant (dim 2).
     const MONITORED: &str =
@@ -446,26 +447,33 @@ mod alert_isolation {
         pkts
     }
 
-    /// Serves the monitored tenant, optionally alongside the neighbor, and
-    /// returns its report.
-    fn serve(with_neighbor: bool, workers: usize) -> ServeReport {
-        let det = detector();
+    /// `(key, score bits, threshold bits)` per alert, in canonical order.
+    fn fingerprint(alerts: &[Alert]) -> Vec<(String, u64, u64)> {
+        alerts
+            .iter()
+            .map(|a| {
+                (
+                    format!("{:?}", a.key),
+                    a.score.to_bits(),
+                    a.threshold.to_bits(),
+                )
+            })
+            .collect()
+    }
+
+    /// Serves the monitored tenant with an in-shard float scorer,
+    /// optionally alongside the neighbor, and returns its canonical alert
+    /// stream and scorer counters.
+    fn serve(with_neighbor: bool, workers: usize) -> (Vec<Alert>, InlineStats) {
         let mut plane = CtrlPlane::new(workers, AnalyzeConfig::default());
-        let mut serving = MultiServing::new();
-        let cfg = ServeConfig {
-            record_scores: true,
-            ..ServeConfig::default()
-        };
-        // Tenant ids are assigned in attach order, starting at t0.
-        let sinks = serving
-            .spawn(TenantId(0), &det, &cfg, workers)
-            .expect("fresh registry");
         let monitored = TenantSpec {
             name: "monitored".into(),
             policy: dsl::parse(MONITORED).expect("valid"),
             cfg: SuperFeConfig::default(),
         };
-        let id = plane.attach(&monitored, Some(sinks)).expect("admitted");
+        let id = plane
+            .attach(&monitored, Some(detector().into()))
+            .expect("admitted");
         assert_eq!(id, TenantId(0));
         if with_neighbor {
             let neighbor = TenantSpec {
@@ -478,36 +486,46 @@ mod alert_isolation {
         for p in traffic() {
             plane.push(&p).expect("workers alive");
         }
-        plane.finish().expect("workers alive");
-        serving.finish_tenant(TenantId(0)).expect("report")
+        let run = plane
+            .finish()
+            .expect("workers alive")
+            .into_iter()
+            .find(|r| r.id == id)
+            .expect("monitored tenant output");
+        let stats = run.output.inline_stats.expect("scorer attached");
+        (inline_to_alerts(&run.output.inline_alerts, "live"), stats)
     }
 
-    /// Tenant A's alert stream alongside a noisy neighbor must be bitwise
-    /// identical to A's alert stream running alone — scored counts, scores,
-    /// and every alert's key/score/position.
+    /// Tenant A's alert stream, alone and alongside a noisy neighbor, must be
+    /// bitwise that of the independent oracle — the policy on a sequential
+    /// `SuperFe`, scored offline — at every worker count: scored count and
+    /// every alert's key, score and threshold.
     #[test]
     fn alerts_unchanged_by_noisy_neighbor() {
+        let mut fe = SuperFe::from_dsl(MONITORED).expect("valid");
+        for p in traffic() {
+            fe.push(&p);
+        }
+        let out = fe.finish();
+        let oracle = score_offline(&detector(), &out.packet_vectors, &out.group_vectors, "live");
+        assert!(
+            !oracle.alerts.is_empty(),
+            "the anomalous flow must trip the detector"
+        );
         for workers in [1, 2, 4] {
-            let alone = serve(false, workers);
-            let shared = serve(true, workers);
-            assert!(
-                !alone.alerts.is_empty(),
-                "the anomalous flow must trip the detector at {workers} workers"
-            );
-            assert_eq!(
-                alone.totals.scored, shared.totals.scored,
-                "scored count changed under tenancy at {workers} workers"
-            );
-            assert_eq!(
-                format!("{:?}", alone.alerts),
-                format!("{:?}", shared.alerts),
-                "alert stream changed under tenancy at {workers} workers"
-            );
-            assert_eq!(
-                format!("{:?}", alone.scores),
-                format!("{:?}", shared.scores),
-                "score stream changed under tenancy at {workers} workers"
-            );
+            for with_neighbor in [false, true] {
+                let (alerts, stats) = serve(with_neighbor, workers);
+                assert_eq!(
+                    stats.scored,
+                    oracle.scores.len() as u64,
+                    "scored count diverged at {workers} workers (neighbor: {with_neighbor})"
+                );
+                assert_eq!(
+                    fingerprint(&alerts),
+                    fingerprint(&oracle.alerts),
+                    "alert stream diverged at {workers} workers (neighbor: {with_neighbor})"
+                );
+            }
         }
     }
 }

@@ -1,17 +1,17 @@
-//! Fig. 11-style end-to-end accuracy floor through the *online serving*
-//! path: train a KitNET detector on a benign trace, calibrate its threshold
-//! from held-out benign scores (no hard-coded constants), then serve a
-//! labelled Mirai-style trace through the sharded `DetectPipeline` and
-//! check the detector still clears the §8.3 offline quality floor
-//! (AUC > 0.75 for Kitsune) — plus the properties calibration buys:
-//! benign warm-up stays quiet and the attack window raises alerts.
+//! Fig. 11-style end-to-end accuracy floor through the *online* path: train
+//! a KitNET detector on a benign trace, calibrate its threshold from
+//! held-out benign scores (no hard-coded constants), then serve a labelled
+//! Mirai-style trace with the detector scoring inside the NIC shards and
+//! check it still clears the §8.3 offline quality floor (AUC > 0.75 for
+//! Kitsune) — plus the properties calibration buys: benign warm-up stays
+//! quiet and the attack window raises alerts.
 
 use std::collections::HashMap;
 
-use superfe::detect::{score_offline, DetectPipeline, DetectorKind, ServeConfig};
+use superfe::detect::{inline_to_alerts, score_offline, DetectorKind};
 use superfe::ml::{auc, train_and_calibrate, CalibrationConfig, Confusion};
 use superfe::net::{Granularity, GroupKey};
-use superfe::SuperFe;
+use superfe::{StreamingPipeline, SuperFe, SuperFeConfig};
 use superfe_trafficgen::intrusion::{self, IntrusionConfig, Scenario};
 
 /// The Kitsune policy (115-d per-packet vectors), as in the offline study.
@@ -79,19 +79,20 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
         attack_packets: 1_000,
         seed: 22,
     });
-    let cfg = ServeConfig {
-        workers: 2,
-        record_scores: true,
-        scenario: "fig11".into(),
-        ..ServeConfig::default()
-    };
-    let mut dp = DetectPipeline::from_dsl(POLICY, 2, &frozen, &cfg).expect("policy deploys");
+    let policy = superfe::policy::dsl::parse(POLICY).expect("policy parses");
+    let mut fe =
+        StreamingPipeline::with_inference(&policy, SuperFeConfig::default(), 2, frozen.clone())
+            .expect("policy deploys");
     for (p, _) in &serve_set.labelled {
-        dp.push(p).expect("pipeline alive");
+        fe.push(p).expect("pipeline alive");
     }
-    let (_, report) = dp.finish().expect("pipeline alive");
-    let scores = report.scores.as_ref().expect("record_scores on");
-    assert_eq!(report.totals.scored as usize, serve_set.labelled.len());
+    let ex = fe.finish().expect("pipeline alive");
+    let stats = ex.inline_stats.expect("scorer attached");
+    assert_eq!(stats.scored as usize, serve_set.labelled.len());
+    // Ranking needs every vector's score, not just the alerts that left the
+    // shards: score the run's own vectors offline with the same model.
+    let served = score_offline(&frozen, &ex.packet_vectors, &ex.group_vectors, "fig11");
+    let scores = &served.scores;
 
     // --- Quality floor (threshold-free, matches the offline study). ---
     let pairs = scored_with_labels(scores, &serve_set.labelled);
@@ -116,21 +117,27 @@ fn served_kitnet_clears_the_offline_accuracy_floor() {
         "alerting at the calibrated threshold must have signal"
     );
     assert_eq!(
-        report.totals.alerts as usize,
+        stats.alerts as usize,
         conf.tp + conf.fp,
         "every alert corresponds to a scored vector over threshold"
     );
 
-    // --- The online path is bitwise-faithful to offline batch scoring. ---
+    // --- The in-shard alerts are bitwise offline batch scoring's. ---
     let mut fe = SuperFe::from_dsl(POLICY).expect("policy deploys");
     for (p, _) in &serve_set.labelled {
         fe.push(p);
     }
     let out = fe.finish();
     let offline = score_offline(&frozen, &out.packet_vectors, &out.group_vectors, "fig11");
+    let fingerprint = |alerts: &[superfe::detect::Alert]| -> Vec<(String, u64)> {
+        alerts
+            .iter()
+            .map(|a| (format!("{:?}", a.key), a.score.to_bits()))
+            .collect()
+    };
     assert_eq!(
-        superfe::detect::score_fingerprint(scores),
-        superfe::detect::score_fingerprint(&offline.scores),
-        "online serving diverged from offline batch scoring"
+        fingerprint(&inline_to_alerts(&ex.inline_alerts, "fig11")),
+        fingerprint(&offline.alerts),
+        "in-shard scoring diverged from offline batch scoring"
     );
 }

@@ -1,16 +1,18 @@
-//! Differential property test of the online serving executor: for random
-//! policies × random labelled traces, the sharded
-//! [`superfe::detect::DetectPipeline`] must produce **bitwise-identical**
-//! scores and a deterministic alert stream versus offline batch scoring
-//! ([`superfe::detect::score_offline`]) of the same extraction, at every
-//! worker count — the executable form of the per-key ordering argument in
-//! DESIGN.md ("Online detection").
+//! Differential property tests of in-shard scoring: for random policies ×
+//! random traces, a detector scoring inside the NIC shards
+//! ([`superfe::StreamingPipeline::with_inference`]) must produce a
+//! **bitwise-identical** alert stream, scored count and dimension-error
+//! count versus offline batch scoring of a sequential extraction
+//! ([`superfe::detect::score_offline`] for the float back-end,
+//! [`superfe::detect::score_offline_quantized`] for the fixed-point one),
+//! at every worker count — the executable form of the per-key ordering
+//! argument in DESIGN.md ("Online detection").
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use superfe::detect::{score_fingerprint, DetectPipeline, ServeConfig};
+use superfe::detect::inline_to_alerts;
 use superfe::ml::{
     quantize, train_and_calibrate, CalibrationConfig, CentroidDetector, KnnNovelty, QuantConfig,
     QuantizedDetector,
@@ -18,8 +20,7 @@ use superfe::ml::{
 use superfe::net::{Direction, PacketRecord};
 use superfe::{StreamingPipeline, SuperFe, SuperFeConfig};
 
-/// Worker counts every property must hold for (NIC shards = inference
-/// workers).
+/// Worker counts every property must hold for (NIC shards).
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Policies whose vectors feed the detector: per-packet collect across
@@ -136,27 +137,6 @@ fn freeze(
     Some((frozen, out.packet_vectors, out.group_vectors))
 }
 
-/// Serves the trace online and returns the report.
-fn serve_online(
-    src: &str,
-    pkts: &[PacketRecord],
-    det: &superfe::ml::FrozenDetector,
-    workers: usize,
-) -> superfe::detect::ServeReport {
-    let cfg = ServeConfig {
-        workers,
-        record_scores: true,
-        scenario: "diff".into(),
-        ..ServeConfig::default()
-    };
-    let mut dp = DetectPipeline::from_dsl(src, workers, det, &cfg).expect("valid policy");
-    for p in pkts {
-        dp.push(p).expect("pipeline alive");
-    }
-    let (_, report) = dp.finish().expect("pipeline alive");
-    report
-}
-
 /// Quantizes a frozen detector with an input grid sized from the vectors
 /// it will actually score, so no in-range input saturates.
 fn quantize_for(
@@ -177,22 +157,18 @@ fn quantize_for(
     .ok()
 }
 
-/// Serves the trace through the in-pipeline quantized stage and returns the
+/// Serves the trace with `model` scoring in-shard and returns the
 /// extraction (inline alerts + stats included).
 fn serve_in_pipeline(
     src: &str,
     pkts: &[PacketRecord],
-    model: &Arc<QuantizedDetector>,
+    model: impl Into<superfe::nic::Scorer>,
     workers: usize,
 ) -> superfe::Extraction {
     let policy = superfe::policy::dsl::parse(src).expect("valid policy");
-    let mut fe = StreamingPipeline::with_inference(
-        &policy,
-        SuperFeConfig::default(),
-        workers,
-        model.clone(),
-    )
-    .expect("valid policy");
+    let mut fe =
+        StreamingPipeline::with_inference(&policy, SuperFeConfig::default(), workers, model)
+            .expect("valid policy");
     for p in pkts {
         fe.push(p).expect("pipeline alive");
     }
@@ -217,6 +193,8 @@ fn alert_fingerprint(alerts: &[superfe::detect::Alert]) -> Vec<(String, u64, u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
+    /// The float back-end: in-shard alerts, scored count and dimension
+    /// errors equal offline float scoring of the sequential extraction.
     #[test]
     fn online_serving_matches_offline_batch_at_every_worker_count(
         src in policy_source(),
@@ -230,25 +208,20 @@ proptest! {
         };
         let offline =
             superfe::detect::score_offline(&det, &pkt_vecs, &group_vecs, "diff");
-        let offline_scores = score_fingerprint(&offline.scores);
         let offline_alerts = alert_fingerprint(&offline.alerts);
 
         for workers in WORKER_COUNTS {
-            let report = serve_online(&src, &pkts, &det, workers);
-            let scores = report.scores.as_ref().expect("record_scores on");
+            let ex = serve_in_pipeline(&src, &pkts, det.clone(), workers);
+            let stats = ex.inline_stats.expect("scorer was attached");
+            prop_assert_eq!(stats.scored, offline.scores.len() as u64);
+            prop_assert_eq!(stats.dim_errors, offline.dim_errors);
+            let alerts = inline_to_alerts(&ex.inline_alerts, "diff");
             prop_assert!(
-                score_fingerprint(scores) == offline_scores,
-                "scores diverged from offline at workers={} for:\n{}",
-                workers,
-                src
-            );
-            prop_assert!(
-                alert_fingerprint(&report.alerts) == offline_alerts,
+                alert_fingerprint(&alerts) == offline_alerts,
                 "alert stream diverged from offline at workers={} for:\n{}",
                 workers,
                 src
             );
-            prop_assert_eq!(report.totals.dim_errors, offline.dim_errors);
         }
     }
 
@@ -279,7 +252,7 @@ proptest! {
         let total = (pkt_vecs.len() + group_vecs.len()) as u64;
 
         for workers in WORKER_COUNTS {
-            let ex = serve_in_pipeline(&src, &pkts, &model, workers);
+            let ex = serve_in_pipeline(&src, &pkts, model.clone(), workers);
             let stats = ex.inline_stats.expect("inference was attached");
             prop_assert_eq!(
                 stats.scored + stats.dim_errors,
@@ -288,7 +261,7 @@ proptest! {
                 workers
             );
             prop_assert_eq!(stats.dim_errors, offline.dim_errors);
-            let inline = superfe::detect::inline_to_alerts(&ex.inline_alerts, "diff");
+            let inline = inline_to_alerts(&ex.inline_alerts, "diff");
             prop_assert!(
                 alert_fingerprint(&inline) == offline_alerts,
                 "quantized alert stream diverged from offline at workers={} for:\n{}",
@@ -299,8 +272,8 @@ proptest! {
     }
 }
 
-/// The alert stream is a function of the input alone: repeated serve runs
-/// at the same worker count must produce the same canonical alert sequence.
+/// The alert stream is a function of the input alone: repeated runs at the
+/// same worker count must produce the same canonical alert sequence.
 #[test]
 fn alert_stream_is_deterministic_across_runs() {
     let src = "pktstream\n.groupby(host)\n.reduce(size, [f_sum, f_mean])\n.collect(pkt)";
@@ -311,10 +284,13 @@ fn alert_stream_is_deterministic_across_runs() {
         })
         .collect();
     let (det, _, _) = freeze(src, &pkts, Kind::Knn).expect("enough vectors");
-    let first = alert_fingerprint(&serve_online(src, &pkts, &det, 4).alerts);
+    let run = || {
+        let ex = serve_in_pipeline(src, &pkts, det.clone(), 4);
+        alert_fingerprint(&inline_to_alerts(&ex.inline_alerts, "diff"))
+    };
+    let first = run();
     assert!(!first.is_empty(), "calibration inside the range must alert");
     for _ in 0..4 {
-        let again = alert_fingerprint(&serve_online(src, &pkts, &det, 4).alerts);
-        assert_eq!(first, again, "alert stream varied between runs");
+        assert_eq!(first, run(), "alert stream varied between runs");
     }
 }

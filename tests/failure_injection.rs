@@ -7,8 +7,9 @@
 use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::time::Duration;
 
+use superfe::ml::{train_and_calibrate, CalibrationConfig, Detector, FrozenDetector, MlError};
 use superfe::net::{Direction, PacketRecord};
-use superfe::nic::{EgressVector, FeNic, NicError, SharedStreamingNic, StreamingNic, VectorSink};
+use superfe::nic::{FeNic, NicError, SharedStreamingNic, StreamingNic};
 use superfe::policy::{compile, dsl, CompiledPolicy};
 use superfe::switch::{
     CacheMode, FeSwitch, MgpvConfig, MgpvRecord, NicLoadBalancer, SharedSwitch, SwitchEvent,
@@ -203,20 +204,50 @@ fn load_balanced_nics_match_single_nic() {
 /// How long a run that lost a worker may take to report it.
 const WORKER_LOSS_DEADLINE: Duration = Duration::from_secs(10);
 
-/// A sink whose first vector kills the shard worker that owns it.
-struct PanickingSink;
+/// A one-feature test detector scoring `|x|` that panics on any input at or
+/// above its sentinel, killing the shard worker scoring it.
+struct TripwireDetector {
+    sentinel: f64,
+}
 
-impl VectorSink for PanickingSink {
-    fn emit(&mut self, _: EgressVector) {
-        panic!("injected sink fault");
+impl Detector for TripwireDetector {
+    fn name(&self) -> &'static str {
+        "tripwire"
+    }
+
+    fn feature_dim(&self) -> usize {
+        1
+    }
+
+    fn train(&mut self, _: &[f64]) -> Result<(), MlError> {
+        Ok(())
+    }
+
+    fn end_training(&mut self) -> Result<(), MlError> {
+        Ok(())
+    }
+
+    fn score(&self, x: &[f64]) -> Result<f64, MlError> {
+        assert!(x[0] < self.sentinel, "injected scorer fault");
+        Ok(x[0].abs())
+    }
+
+    fn as_any(&self) -> &dyn std::any::Any {
+        self
     }
 }
 
-/// A sink that drops every vector.
-struct QuietSink;
-
-impl VectorSink for QuietSink {
-    fn emit(&mut self, _: EgressVector) {}
+/// A frozen [`TripwireDetector`], calibrated on inputs below its sentinel.
+fn tripwire(sentinel: f64) -> FrozenDetector {
+    let benign: Vec<Vec<f64>> = (0..10).map(|i| vec![f64::from(i)]).collect();
+    let refs: Vec<&[f64]> = benign.iter().map(Vec::as_slice).collect();
+    train_and_calibrate(
+        Box::new(TripwireDetector { sentinel }),
+        &refs,
+        0.5,
+        CalibrationConfig::default(),
+    )
+    .expect("calibrates below the sentinel")
 }
 
 /// Runs `scenario` on its own thread while the test thread watches it as a
@@ -246,19 +277,20 @@ fn host_sum_policy(collect: &str) -> CompiledPolicy {
     compile(&dsl::parse(&src).expect("parses")).expect("compiles")
 }
 
-/// A sink that panics on shard 0 kills that worker. Whether the panic hits
-/// mid-stream (per-packet vectors egress per frame) or at end of stream
-/// (group vectors egress on finish), every failed push and the final
-/// `finish` report the lost worker.
+/// A scorer that panics kills the worker scoring the offending vector.
+/// Whether the panic hits mid-stream (per-packet vectors are scored per
+/// frame) or at end of stream (group vectors are scored on finish), every
+/// failed push and the final `finish` report the lost worker.
 #[test]
-fn panicking_sink_makes_streaming_finish_report_worker_lost() {
+fn panicking_scorer_makes_streaming_finish_report_worker_lost() {
     for collect in ["host", "pkt"] {
         let c = host_sum_policy(collect);
         let events = events_for(&c, 2_000);
         let (push_errors, finished) = within_deadline(move || {
-            let sinks: Vec<Box<dyn VectorSink>> =
-                vec![Box::new(PanickingSink), Box::new(QuietSink)];
-            let mut nic = StreamingNic::with_sinks(&c, 16_384, 2, sinks).expect("executor starts");
+            // Host byte sums reach 1000 within each host's first ten
+            // packets, and its final sum far above that.
+            let mut nic = StreamingNic::with_inference(&c, 16_384, 2, tripwire(1_000.0))
+                .expect("executor starts");
             let push_errors: Vec<NicError> = events
                 .into_iter()
                 .filter_map(|e| nic.push(e).err())
@@ -282,14 +314,16 @@ fn panicking_sink_makes_streaming_finish_report_worker_lost() {
     }
 }
 
-/// A tenant whose sink panics on every shard loses its workers at the
-/// detach handshake: its `detach` returns `WorkerLost` instead of waiting
-/// for acks that never come, and the plane's `finish` then reports the loss
-/// too rather than handing its co-tenant a partial output.
+/// A tenant whose scorer panics on its group vectors loses its workers at
+/// the detach handshake: its `detach` returns `WorkerLost` instead of
+/// waiting for acks that never come, and the plane's `finish` then reports
+/// the loss too rather than handing its co-tenant a partial output.
 #[test]
-fn panicking_sink_makes_tenant_detach_report_worker_lost() {
+fn panicking_scorer_makes_tenant_detach_report_worker_lost() {
     let (detached, finished) = within_deadline(|| {
         let quiet = host_sum_policy("host");
+        // Every flow's max packet size (100) trips the scorer, which only
+        // runs when the flows finalize at detach.
         let faulty = compile(
             &dsl::parse(
                 "pktstream\n.filter(tcp.exist)\n.groupby(flow)\n.reduce(size, [f_max])\n\
@@ -305,20 +339,18 @@ fn panicking_sink_makes_tenant_detach_report_worker_lost() {
         let mut nic = SharedStreamingNic::new(2);
         nic.attach(TenantId(0), &quiet, 16_384, None)
             .expect("attaches");
-        let sinks: Vec<Box<dyn VectorSink>> =
-            vec![Box::new(PanickingSink), Box::new(PanickingSink)];
-        nic.attach(TenantId(1), &faulty, 16_384, Some(sinks))
+        nic.attach(TenantId(1), &faulty, 16_384, Some(tripwire(50.0).into()))
             .expect("attaches");
         let mut frame = Vec::new();
         for i in 0..1_000u32 {
             let p = PacketRecord::tcp(u64::from(i) * 1_000, 100, i % 23 + 1, 1000, 2, 80);
             sw.process_into(&p, &mut frame);
             nic.push_all(frame.drain(..))
-                .expect("no vector has egressed yet");
+                .expect("no vector has been scored yet");
         }
         sw.detach_into(TenantId(1), &mut frame);
         nic.push_all(frame.drain(..))
-            .expect("no vector has egressed yet");
+            .expect("no vector has been scored yet");
         let detached = nic.detach(TenantId(1));
         (
             detached.map(|out| out.group_vectors.len()),

@@ -3,7 +3,10 @@
 //! plane must produce **bitwise-identical** remaining output — across
 //! worker counts, with SF07xx fusion and SF08xx prefix sharing engaged,
 //! after detach of a fused unit's founder, and under bounded-state
-//! eviction churn with epoch markers in flight.
+//! eviction churn with epoch markers in flight. Snapshot decoding is total:
+//! arbitrary or damaged bytes are refused with an error, never a panic.
+
+use proptest::prelude::*;
 
 use superfe::ctrl::{CtrlPlane, TenantSpec};
 use superfe::net::PacketRecord;
@@ -116,7 +119,7 @@ fn run_restored(
     // so its worker threads exit cleanly.
     plane.finish().expect("workers alive");
     let mut restored =
-        CtrlPlane::restore(AnalyzeConfig::default(), specs, &bytes, |_| None).expect("restore");
+        CtrlPlane::restore(AnalyzeConfig::default(), specs, &bytes).expect("restore");
     assert_eq!(restored.tenants().len(), specs.len());
     for p in &pkts[split..] {
         restored.push(p).expect("workers alive");
@@ -219,8 +222,7 @@ fn restore_after_founder_detach_of_fused_unit() {
         plane.finish().expect("workers alive");
         // Only the survivor's spec is needed — the founder is gone.
         let mut restored =
-            CtrlPlane::restore(AnalyzeConfig::default(), &specs[1..], &bytes, |_| None)
-                .expect("restore");
+            CtrlPlane::restore(AnalyzeConfig::default(), &specs[1..], &bytes).expect("restore");
         for p in &pkts[600..] {
             restored.push(p).expect("workers alive");
         }
@@ -279,7 +281,6 @@ fn restore_under_bounded_state_churn_and_epoch_markers() {
                         AnalyzeConfig::default(),
                         std::slice::from_ref(&churn),
                         &bytes,
-                        |_| None,
                     )
                     .expect("restore")
                 }
@@ -321,15 +322,9 @@ fn restore_rejects_bad_bytes_and_wrong_specs() {
     let bytes = plane.snapshot().expect("snapshot");
     plane.finish().expect("workers alive");
 
-    assert!(CtrlPlane::restore(AnalyzeConfig::default(), &specs, b"junk", |_| None).is_err());
+    assert!(CtrlPlane::restore(AnalyzeConfig::default(), &specs, b"junk").is_err());
     assert!(
-        CtrlPlane::restore(
-            AnalyzeConfig::default(),
-            &specs,
-            &bytes[..bytes.len() / 2],
-            |_| None
-        )
-        .is_err(),
+        CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes[..bytes.len() / 2]).is_err(),
         "truncated snapshot must be refused"
     );
     // Same tenant name, different program: the canonical-hash check
@@ -337,13 +332,97 @@ fn restore_rejects_bad_bytes_and_wrong_specs() {
     let mut wrong = flow_stats();
     wrong.name = "host-sum".into();
     assert!(
-        CtrlPlane::restore(AnalyzeConfig::default(), &[wrong], &bytes, |_| None).is_err(),
+        CtrlPlane::restore(AnalyzeConfig::default(), &[wrong], &bytes).is_err(),
         "hash-mismatched spec must be refused"
     );
     // And the happy path still works with the right spec.
-    let restored =
-        CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes, |_| None).expect("restore");
+    let restored = CtrlPlane::restore(AnalyzeConfig::default(), &specs, &bytes).expect("restore");
     assert_eq!(restored.tenants().len(), 1);
     assert_eq!(restored.workers(), 2);
     restored.finish().expect("workers alive");
+}
+
+/// Snapshot bytes of a small two-tenant plane (a fused pair) at 2 workers,
+/// taken mid-stream.
+fn real_snapshot() -> (Vec<TenantSpec>, Vec<u8>) {
+    let specs = vec![host_sum(), host_sum_b(), flow_stats()];
+    let mut plane = CtrlPlane::new(2, AnalyzeConfig::default());
+    for s in &specs {
+        plane.attach(s, None).expect("admitted");
+    }
+    for p in &packets(150) {
+        plane.push(p).expect("workers alive");
+    }
+    let bytes = plane.snapshot().expect("snapshot");
+    plane.finish().expect("workers alive");
+    (specs, bytes)
+}
+
+/// Restores `bytes`, draining any plane that comes back so its workers
+/// exit. Panics propagate and fail the property.
+fn restore_is_err(specs: &[TenantSpec], bytes: &[u8]) -> bool {
+    match CtrlPlane::restore(AnalyzeConfig::default(), specs, bytes) {
+        Ok(plane) => {
+            let _ = plane.finish();
+            false
+        }
+        Err(_) => true,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes — raw, or behind a valid magic and version header —
+    /// are refused.
+    #[test]
+    fn restore_refuses_random_bytes(
+        bytes in proptest::collection::vec(0u8..=255u8, 0..512),
+        with_header in proptest::bool::ANY,
+    ) {
+        let (specs, real) = real_snapshot_cached();
+        // The header is the magic's length prefix, the magic and the
+        // version: the first 10 bytes of every snapshot.
+        let input = if with_header {
+            let mut v = real[..10].to_vec();
+            v.extend_from_slice(&bytes);
+            v
+        } else {
+            bytes
+        };
+        prop_assert!(restore_is_err(specs, &input));
+    }
+
+    /// A real snapshot cut short, or with bytes appended, is refused; with
+    /// bytes overwritten it decodes to an error or to a plane, never a
+    /// panic. (SFSN carries no checksum, so an overwritten accumulator can
+    /// be a well-formed snapshot of a different state.)
+    #[test]
+    fn restore_survives_damaged_snapshots(
+        cut in 0usize..1 << 20,
+        tail in proptest::collection::vec(0u8..=255u8, 1..16),
+        flips in proptest::collection::vec(
+            (0usize..1 << 20, 1u8..=255u8),
+            1..4,
+        ),
+    ) {
+        let (specs, real) = real_snapshot_cached();
+        let truncated = &real[..cut % real.len()];
+        prop_assert!(restore_is_err(specs, truncated));
+        let mut extended = real.clone();
+        extended.extend_from_slice(&tail);
+        prop_assert!(restore_is_err(specs, &extended));
+        let mut mutated = real.clone();
+        for (at, x) in flips {
+            let i = at % mutated.len();
+            mutated[i] ^= x;
+        }
+        restore_is_err(specs, &mutated);
+    }
+}
+
+/// [`real_snapshot`], built once per test process.
+fn real_snapshot_cached() -> &'static (Vec<TenantSpec>, Vec<u8>) {
+    static SNAPSHOT: std::sync::OnceLock<(Vec<TenantSpec>, Vec<u8>)> = std::sync::OnceLock::new();
+    SNAPSHOT.get_or_init(real_snapshot)
 }
